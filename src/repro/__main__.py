@@ -563,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="reuse computation across a repetition's cleaned versions "
-        "(delta-patched featurisation, shared kNN/booster structures, "
-        "warm logistic starts); results are byte-identical either way — "
+        "(delta-patched featurisation, shared booster presorts, memoised "
+        "tuned evaluations); results are byte-identical either way — "
         "--no-incremental forces every cell to a cold refit",
     )
     study.add_argument(

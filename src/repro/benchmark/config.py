@@ -44,14 +44,13 @@ class StudyConfig:
         incremental: Reuse computation across the cleaned versions of
             a repetition through :mod:`repro.ml.incremental`: row-delta
             manifests pick each repaired version's cheapest parent,
-            featurisation patches the parent's one-hot block, and the
-            estimators share content-addressed structures (kNN
-            distances, booster presorts, warm logistic starts) plus
-            whole tuned-model evaluations when inputs coincide byte
-            for byte. Every reuse path is byte-identical to the cold
-            refit or declines and falls back, so stores match a cold
-            run bit for bit; ``False`` (the ``--no-incremental``
-            escape hatch) disables the scope entirely.
+            featurisation patches the parent's one-hot block, and
+            booster presorts plus whole tuned-model evaluations are
+            shared when inputs coincide byte for byte. Every reuse
+            path is byte-identical to the cold refit or declines and
+            falls back, so stores match a cold run bit for bit;
+            ``False`` (the ``--no-incremental`` escape hatch) disables
+            the scope entirely.
     """
 
     n_sample: int = 1_000

@@ -12,9 +12,10 @@ ever changing a result byte:
 - :class:`ReuseScope` — a content-addressed memo store scoped to one
   repetition. Estimators consult the active scope (a thread-local set
   by ``runner.run_repetition_cells``) for cached pure-function results
-  keyed by the *bytes* of their inputs: kNN training norms and
-  prediction distance blocks, booster presort orders, converged
-  logistic solutions, and whole tuned-model evaluations.
+  keyed by the *bytes* of their inputs: booster presort orders and
+  whole tuned-model evaluations. The scope lives until its work unit
+  ends, so only results that are small next to the versions' own
+  feature matrices are memoised there.
 - :func:`featurize_version` / :func:`incremental_featurize` — cold and
   delta-patched featurisation. The incremental path re-encodes only
   the changed rows of the one-hot block and splices them into a copy
@@ -28,12 +29,7 @@ falls back. Content-addressed memo hits are identical by construction
 — equal input bytes into a deterministic function give equal output
 bytes. Incremental featurisation is identical by construction because
 one-hot encoding is row-independent and the encoder's fitted
-categories are verified equal before any block is reused. The one
-tolerance-bound path — warm-starting the final logistic refit from a
-parent's converged weights — guards itself at prediction time: if any
-test logit falls inside the analytic error band of the two L-BFGS
-stopping points, the classifier re-solves from zeros and the warm
-start is discarded (see ``LogisticRegressionClassifier``).
+categories are verified equal before any block is reused.
 
 Nothing here activates outside a scope: ``active()`` returns ``None``
 unless the runner opened one, so standalone estimator use — and every
@@ -229,7 +225,6 @@ class ReuseScope:
     def __init__(self) -> None:
         self._memo: dict[tuple, Any] = {}
         self._fingerprints: dict[int, tuple[np.ndarray, _Fingerprint]] = {}
-        self._warm: dict[tuple, np.ndarray] = {}
         self.stats: dict[str, list[int]] = {}
 
     # -- fingerprinting ----------------------------------------------
@@ -289,15 +284,6 @@ class ReuseScope:
             kind: {"hits": entry[0], "misses": entry[1]}
             for kind, entry in sorted(self.stats.items())
         }
-
-    # -- warm-start parameter store ----------------------------------
-
-    def warm_get(self, key: tuple) -> np.ndarray | None:
-        """Last converged parameter vector stored under ``key``."""
-        return self._warm.get(key)
-
-    def warm_put(self, key: tuple, value: np.ndarray) -> None:
-        self._warm[key] = value
 
 
 _LOCAL = threading.local()

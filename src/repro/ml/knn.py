@@ -16,7 +16,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.ml import incremental
 from repro.ml.base import BaseClassifier, split_single_parameter_grid
 
 _CHUNK_TARGET_CELLS = 4_000_000
@@ -44,15 +43,7 @@ class KNearestNeighborsClassifier(BaseClassifier):
             raise ValueError("cannot fit kNN on an empty training set")
         self._X = X
         self._y = y
-        scope = incremental.active()
-        if scope is not None:
-            # pure function of X's bytes: safe to share across versions
-            # whose training matrices coincide (e.g. mislabel repairs)
-            self._train_sq = scope.memo(
-                "knn_train_sq", (X,), (), lambda: np.sum(X**2, axis=1)
-            )
-        else:
-            self._train_sq = np.sum(X**2, axis=1)
+        self._train_sq = np.sum(X**2, axis=1)
         return self
 
     def _check_test_matrix(self, X: np.ndarray) -> np.ndarray:
@@ -76,22 +67,10 @@ class KNearestNeighborsClassifier(BaseClassifier):
         k = min(self.n_neighbors, self._X.shape[0])
         n_train = self._X.shape[0]
         chunk_rows = max(1, _CHUNK_TARGET_CELLS // max(1, n_train))
-        scope = incremental.active()
         positives = np.empty(X.shape[0], dtype=np.float64)
         for start in range(0, X.shape[0], chunk_rows):
             chunk = X[start : start + chunk_rows]
-            if scope is not None:
-                # distances depend only on (chunk, training matrix) bytes;
-                # hits fire when a repaired version shares its parent's
-                # feature matrices (identical query against identical X)
-                distances = scope.memo(
-                    "knn_distances",
-                    (chunk, self._X),
-                    (),
-                    lambda: self._chunk_distances(chunk),
-                )
-            else:
-                distances = self._chunk_distances(chunk)
+            distances = self._chunk_distances(chunk)
             neighbor_idx = np.argpartition(distances, k - 1, axis=1)[:, :k]
             positives[start : start + chunk_rows] = self._y[neighbor_idx].mean(axis=1)
         return np.column_stack([1.0 - positives, positives])

@@ -6,6 +6,11 @@ Fitted by minimising the penalised negative log-likelihood
 
 with scipy's L-BFGS-B and an analytic gradient. The intercept is not
 penalised, matching scikit-learn's behaviour for the paper's tuned ``C``.
+
+``fit`` always starts the solver from zeros, so a fitted model does not
+depend on what was fitted before it. The one warm-started path is
+``score_grid``, which walks a ``C`` grid in ascending order on a single
+train/test split.
 """
 
 from __future__ import annotations
@@ -15,11 +20,7 @@ from typing import Any
 import numpy as np
 from scipy import optimize
 
-from repro.ml import incremental
 from repro.ml.base import BaseClassifier, clone, split_single_parameter_grid
-
-#: Safety factor on the warm-start logit error band (see ``fit``).
-_WARM_GUARD_SAFETY = 8.0
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -48,9 +49,6 @@ class LogisticRegressionClassifier(BaseClassifier):
         self.tol = tol
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
-        # (fit X, fit y as float, logit error-band coefficient) while a
-        # warm-started solution awaits its prediction-time identity guard
-        self._warm_pending: tuple[np.ndarray, np.ndarray, float] | None = None
 
     def _solve(self, X: np.ndarray, y_float: np.ndarray, theta0: np.ndarray) -> np.ndarray:
         """Minimise the penalised NLL from ``theta0`` via L-BFGS-B."""
@@ -80,46 +78,16 @@ class LogisticRegressionClassifier(BaseClassifier):
         return result.x
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegressionClassifier":
-        """Fit from zeros — or warm-start inside an incremental scope.
+        """Fit by L-BFGS-B from zeros.
 
-        When a :mod:`repro.ml.incremental` scope is active and holds a
-        converged solution of matching dimension and ``C`` (typically
-        the parent dataset version's refit), L-BFGS starts there
-        instead of at zeros. Warm and cold runs both stop within the
-        ``gtol`` band of the optimum, so their parameter gap is
-        bounded by strong convexity (the L2 penalty gives curvature
-        ≥ 1/C): ``||Δθ|| ≤ 2·√(d+1)·tol·C``, times a safety factor
-        for the unpenalised intercept direction. Predictions can only
-        differ from a cold fit if a test logit falls inside that band
-        — :meth:`decision_function` checks exactly that and re-solves
-        from zeros when any logit is too close to the boundary, so
-        *returned predictions* are always identical to the cold fit's.
+        Every fit starts cold, inside an incremental reuse scope or
+        not, so ``coef_`` and ``intercept_`` are a pure function of
+        ``(X, y, C, max_iter, tol)``. Only :meth:`score_grid` walks a
+        warm-started path, and only across the ``C`` grid of one split.
         """
         X, y = self._check_fit_inputs(X, y)
         n_features = X.shape[1]
-        y_float = y.astype(np.float64)
-        self._warm_pending = None
-        scope = incremental.active()
-        warm = None
-        if scope is not None:
-            warm = scope.warm_get(("logreg", n_features, self.C))
-        if warm is not None:
-            theta = self._solve(X, y_float, warm.copy())
-            band = (
-                _WARM_GUARD_SAFETY
-                * 2.0
-                * np.sqrt(n_features + 1.0)
-                * self.tol
-                * self.C
-            )
-            self._warm_pending = (X, y_float, float(band))
-            scope.record("logreg_warm", hit=True)
-        else:
-            theta = self._solve(X, y_float, np.zeros(n_features + 1))
-            if scope is not None:
-                scope.record("logreg_warm", hit=False)
-        if scope is not None:
-            scope.warm_put(("logreg", n_features, self.C), theta.copy())
+        theta = self._solve(X, y.astype(np.float64), np.zeros(n_features + 1))
         self.coef_ = theta[:n_features]
         self.intercept_ = float(theta[n_features])
         return self
@@ -170,36 +138,11 @@ class LogisticRegressionClassifier(BaseClassifier):
         return predictions
 
     def decision_function(self, X: np.ndarray) -> np.ndarray:
-        """Raw logits, with the warm-start identity guard.
-
-        While a warm-started solution is pending, every logit is
-        checked against the analytic warm-vs-cold error band scaled by
-        its row norm; if any logit could plausibly sit on the other
-        side of zero under a cold fit, the model re-solves from zeros
-        (the byte-identity fallback) before answering.
-        """
+        """Raw logits ``X @ coef_ + intercept_``."""
         if self.coef_ is None:
             raise RuntimeError("LogisticRegressionClassifier is not fitted")
         X = self._check_predict_inputs(X)
-        logits = X @ self.coef_ + self.intercept_
-        pending = self._warm_pending
-        if pending is not None:
-            fit_X, fit_y, band = pending
-            margins = band * (np.sqrt(np.sum(X * X, axis=1)) + 1.0)
-            scope = incremental.active()
-            if np.any(np.abs(logits) <= margins):
-                n_features = fit_X.shape[1]
-                theta = self._solve(fit_X, fit_y, np.zeros(n_features + 1))
-                self.coef_ = theta[:n_features]
-                self.intercept_ = float(theta[n_features])
-                self._warm_pending = None
-                if scope is not None:
-                    scope.record("logreg_warm_guard", hit=False)
-                    scope.warm_put(("logreg", n_features, self.C), theta.copy())
-                logits = X @ self.coef_ + self.intercept_
-            elif scope is not None:
-                scope.record("logreg_warm_guard", hit=True)
-        return logits
+        return X @ self.coef_ + self.intercept_
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         p = _sigmoid(self.decision_function(X))

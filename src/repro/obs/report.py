@@ -86,8 +86,8 @@ class RunHealth:
             fast-path vs naive dispatch counts.
         cache: Per cache name: ``{"hits", "misses", "hit_rate"}``.
         reuse: Per incremental-reuse kind (``featurize``, ``masks``,
-            ``knn_distances``, ``tree_presort``, ``logreg_warm``,
-            ``model_eval``, ...): ``{"hits", "misses", "hit_rate"}``.
+            ``tree_presort``, ``model_eval``):
+            ``{"hits", "misses", "hit_rate"}``.
         cells_warm_started: Cells in which at least one incremental
             reuse hit fired (also available as the ``warm_started``
             attribute on ``cell`` spans).

@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 
 class Impact(enum.Enum):
@@ -49,6 +48,8 @@ def paired_t_test(baseline: np.ndarray, treated: np.ndarray) -> float:
     differences = treated - baseline
     if np.allclose(differences, 0.0):
         return 1.0
+    from scipy import stats as scipy_stats  # deferred, see repro.stats.gtest
+
     result = scipy_stats.ttest_rel(treated, baseline)
     p_value = float(result.pvalue)
     return 1.0 if np.isnan(p_value) else p_value
