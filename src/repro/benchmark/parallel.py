@@ -60,6 +60,7 @@ agnostic of the fault kinds.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import signal
@@ -462,6 +463,55 @@ def _pool_context():
         return get_context("fork")
     except ValueError:
         return get_context("spawn")
+
+
+#: Thread-count setters an OpenBLAS build may export: the plain
+#: library, scipy's bundled build and numpy's 64-bit-integer build.
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _loaded_openblas() -> list[ctypes.CDLL]:
+    """Every OpenBLAS shared library mapped into this process.
+
+    numpy and scipy each bundle their own copy, so there may be
+    several. Empty where ``/proc/self/maps`` is unavailable.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {
+                fields[5].strip()
+                for fields in (line.split(maxsplit=5) for line in maps)
+                if len(fields) == 6 and "openblas" in fields[5].lower()
+            }
+    except OSError:
+        return []
+    libraries = []
+    for path in sorted(paths):
+        try:
+            libraries.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    return libraries
+
+
+def _single_blas_thread() -> None:
+    """Pool initializer: run every loaded OpenBLAS on one thread.
+
+    Each bundled OpenBLAS defaults to one thread per CPU, so a pool of
+    process workers would otherwise oversubscribe the CPUs many times
+    over on the study's small matrices. Records do not depend on the
+    thread count. Does nothing where no OpenBLAS is found.
+    """
+    for library in _loaded_openblas():
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                setter(1)
+                break
 
 
 #: Per-process cache of generated datasets, keyed by
@@ -924,7 +974,10 @@ def run_parallel_study(
                     )
             else:
                 context = _pool_context()
-                with context.Pool(processes=min(workers, len(units))) as pool:
+                with context.Pool(
+                    processes=min(workers, len(units)),
+                    initializer=_single_blas_thread,
+                ) as pool:
                     run_rounds(
                         lambda tasks: pool.imap_unordered(_execute_unit, tasks)
                     )

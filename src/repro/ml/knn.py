@@ -6,7 +6,8 @@ at once. The squared training norms are cached at fit time, and a
 ``score_grid`` fast path evaluates a whole ``n_neighbors`` grid from
 one distance matrix per chunk: one ``argpartition`` up to
 ``max(k) + 1``, one sort of the top block, then prefix votes per
-``k`` — with an exact per-row fallback wherever a distance tie at the
+``k`` — with an exact replay of the naive selection, one call per
+chunk and ``k``, for the rows where a distance tie at the
 ``k``-boundary could make the selected neighbour set ambiguous.
 """
 
@@ -93,8 +94,10 @@ class KNearestNeighborsClassifier(BaseClassifier):
         top block equals the naive ``argpartition`` vote exactly
         (integer label sums are order-independent in float64). Rows
         with a boundary tie are recomputed with the naive per-``k``
-        ``argpartition`` on the same distance row, which reproduces
-        the naive index selection bit for bit.
+        ``argpartition``, one 2-D call over all of a chunk's tied rows;
+        it selects row by row exactly as the naive call over the whole
+        chunk does, so the naive index selection is reproduced bit for
+        bit.
         """
         spec = split_single_parameter_grid(candidates)
         if spec is None or spec[1] != "n_neighbors":
@@ -136,12 +139,14 @@ class KNearestNeighborsClassifier(BaseClassifier):
                 votes = prefix[:, k - 1] / k
                 if k < n_train:
                     # boundary tie: the k nearest are ambiguous as a set —
-                    # replay the naive selection on the same distance row
+                    # replay the naive selection on the same distance rows
                     tied_rows = np.nonzero(
                         sorted_vals[:, k] == sorted_vals[:, k - 1]
                     )[0]
-                    for row in tied_rows:
-                        neighbor_idx = np.argpartition(distances[row], k - 1)[:k]
-                        votes[row] = self._y[neighbor_idx].mean()
+                    if tied_rows.size:
+                        neighbor_idx = np.argpartition(
+                            distances[tied_rows], k - 1, axis=1
+                        )[:, :k]
+                        votes[tied_rows] = self._y[neighbor_idx].mean(axis=1)
                 positives[index, start : start + chunk_rows] = votes
         return (positives >= 0.5).astype(np.int64)

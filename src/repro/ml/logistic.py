@@ -11,6 +11,14 @@ penalised, matching scikit-learn's behaviour for the paper's tuned ``C``.
 depend on what was fitted before it. The one warm-started path is
 ``score_grid``, which walks a ``C`` grid in ascending order on a single
 train/test split.
+
+The solver gets the loss and the gradient as separate callables: one
+pass over ``X`` computes both and keeps the gradient for its point,
+which skips scipy's wrapper for combined objectives. ``_sigmoid``
+evaluates one ``exp`` over the whole array. Both feed the same
+floating-point operations to the same inputs as the masked two-branch
+sigmoid and the combined ``(loss, gradient)`` objective, so every
+solver path, and every fitted coefficient, is bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -24,12 +32,15 @@ from repro.ml.base import BaseClassifier, clone, split_single_parameter_grid
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    exp_z = np.exp(z[~positive])
-    out[~positive] = exp_z / (1.0 + exp_z)
-    return out
+    """Numerically stable logistic function.
+
+    One ``exp(-|z|)`` over the whole array, then ``1 / (1 + e)`` where
+    ``z >= 0`` and ``e / (1 + e)`` elsewhere: each element sees the
+    same ``exp`` input and the same arithmetic as a masked two-branch
+    evaluation, so the values are bit-identical to it.
+    """
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class LogisticRegressionClassifier(BaseClassifier):
@@ -51,27 +62,43 @@ class LogisticRegressionClassifier(BaseClassifier):
         self.intercept_: float = 0.0
 
     def _solve(self, X: np.ndarray, y_float: np.ndarray, theta0: np.ndarray) -> np.ndarray:
-        """Minimise the penalised NLL from ``theta0`` via L-BFGS-B."""
+        """Minimise the penalised NLL from ``theta0`` via L-BFGS-B.
+
+        The loss and its gradient come from one pass over ``X``; the
+        gradient is kept for the last ``theta`` and returned by the
+        solver's ``jac`` call at that same point.
+        """
         n_features = X.shape[1]
         penalty = 1.0 / (2.0 * self.C)
+        last: list[np.ndarray] = []
 
-        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        def loss_and_grad(theta: np.ndarray) -> float:
             w, b = theta[:n_features], theta[n_features]
             z = X @ w + b
             p = _sigmoid(z)
-            # log-likelihood via the numerically stable log1p formulation
+            # log-likelihood via the numerically stable log1p formulation;
+            # logaddexp's exp may differ from _sigmoid's by an ulp, so the
+            # loss keeps its own
             loss = float(
-                np.sum(np.logaddexp(0.0, z) - y_float * z) + penalty * (w @ w)
+                np.add.reduce(np.logaddexp(0.0, z) - y_float * z)
+                + penalty * (w @ w)
             )
             residual = p - y_float
-            grad_w = X.T @ residual + 2.0 * penalty * w
-            grad_b = float(np.sum(residual))
-            return loss, np.concatenate([grad_w, [grad_b]])
+            grad = np.empty(n_features + 1)
+            grad[:n_features] = X.T @ residual + 2.0 * penalty * w
+            grad[n_features] = np.add.reduce(residual)
+            last[:] = [theta.copy(), grad]
+            return loss
+
+        def gradient(theta: np.ndarray) -> np.ndarray:
+            if not (last and (theta == last[0]).all()):
+                loss_and_grad(theta)
+            return last[1]
 
         result = optimize.minimize(
-            objective,
+            loss_and_grad,
             theta0,
-            jac=True,
+            jac=gradient,
             method="L-BFGS-B",
             options={"maxiter": self.max_iter, "gtol": self.tol},
         )

@@ -18,7 +18,12 @@ from repro.benchmark import (
     plan_work_units,
     run_parallel_study,
 )
-from repro.benchmark.parallel import expected_cell_keys
+from repro.benchmark.parallel import (
+    _loaded_openblas,
+    _pool_context,
+    _single_blas_thread,
+    expected_cell_keys,
+)
 
 
 def tiny_config(**overrides) -> StudyConfig:
@@ -446,3 +451,38 @@ def test_cell_deadline_on_main_thread_does_not_count_fallback(tmp_path):
     assert not any(
         event.get("name") == "cell_deadline_fallback" for event in events
     )
+
+
+# -- worker thread budget -----------------------------------------------
+
+_OPENBLAS_GETTERS = (
+    "openblas_get_num_threads",
+    "scipy_openblas_get_num_threads",
+    "scipy_openblas_get_num_threads64_",
+)
+
+
+def _blas_thread_counts():
+    counts = []
+    for library in _loaded_openblas():
+        for name in _OPENBLAS_GETTERS:
+            getter = getattr(library, name, None)
+            if getter is not None:
+                counts.append(getter())
+                break
+    return counts
+
+
+def _worker_blas_thread_counts():
+    with _pool_context().Pool(1, initializer=_single_blas_thread) as pool:
+        return pool.apply(_blas_thread_counts)
+
+
+def test_pool_workers_run_one_blas_thread():
+    """Each OpenBLAS the worker finds reports one thread after the
+    pool initializer, whatever the parent's setting."""
+    parent_counts = _blas_thread_counts()
+    if not parent_counts:
+        pytest.skip("no OpenBLAS library loaded")
+    assert _worker_blas_thread_counts() == [1] * len(parent_counts)
+    assert _blas_thread_counts() == parent_counts

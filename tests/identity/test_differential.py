@@ -6,9 +6,15 @@ configuration; the ``identity``-marked matrix (opt-in, see
 backend x transport combination with all three model families.
 """
 
+import json
+from dataclasses import replace
+
 import pytest
 
+from repro import StudyConfig
+from repro.benchmark import ExperimentRunner, ResultStore
 from repro.benchmark.transport import shared_memory_available
+from repro.datasets import load_dataset
 from repro.testing.fixtures import chaos_config
 
 ERROR_TYPES = ("missing_values", "outliers", "mislabels")
@@ -57,3 +63,39 @@ def test_incremental_matrix_byte_identical(
         transport=transport,
         error_types=(error_type,),
     )
+
+
+def _unit_records(config, dataset, error_type, repetition):
+    definition, table = load_dataset(
+        dataset, n_rows=config.dataset_size(dataset), seed=config.generation_seed
+    )
+    store = ResultStore()
+    cells = [(model, 0) for model in config.models]
+    ExperimentRunner(config, store).run_repetition_cells(
+        definition, table, error_type, repetition, cells
+    )
+    return [
+        json.dumps(record.to_json(), sort_keys=True)
+        for record in sorted(store.iter_records(), key=lambda record: record.key)
+    ]
+
+
+@pytest.mark.parametrize(("dataset", "repetition"), [("adult", 9), ("folk", 14)])
+def test_logistic_outlier_cell_identical_with_and_without_reuse(dataset, repetition):
+    """The two outlier cells whose logistic records once depended on reuse.
+
+    At the committed store's scale, a logistic warm start across cleaned
+    versions produced records here that a cold run did not. Every fit
+    now starts cold, so the reuse scope must leave these cells untouched.
+    """
+    config = StudyConfig(
+        n_sample=3_000,
+        test_fraction=0.4,
+        n_repetitions=repetition + 1,
+        models=("log_reg",),
+    )
+    warm = _unit_records(config, dataset, "outliers", repetition)
+    cold = _unit_records(
+        replace(config, incremental=False), dataset, "outliers", repetition
+    )
+    assert warm and warm == cold

@@ -1,0 +1,114 @@
+"""The logistic kernels against straightforward references kept here.
+
+The logistic objective and the sigmoid are written for few
+Python-level calls. Each must still compute exactly
+what the plain form below computes: same bits, not merely close.
+"""
+
+import numpy as np
+from scipy import optimize
+
+from repro.benchmark.models import model_search
+from repro.ml import LogisticRegressionClassifier
+from repro.ml.logistic import _sigmoid
+
+STUDY_C_GRID = model_search("log_reg", tuning_seed=0).param_grid["C"]
+
+
+def reference_sigmoid(z):
+    """The masked two-branch logistic function."""
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    exp_z = np.exp(z[~positive])
+    out[~positive] = exp_z / (1.0 + exp_z)
+    return out
+
+
+def reference_solve(X, y_float, theta0, C, max_iter=200, tol=1e-6):
+    """L-BFGS-B on a combined (loss, gradient) objective."""
+    n_features = X.shape[1]
+    penalty = 1.0 / (2.0 * C)
+
+    def objective(theta):
+        w, b = theta[:n_features], theta[n_features]
+        z = X @ w + b
+        p = reference_sigmoid(z)
+        loss = float(
+            np.sum(np.logaddexp(0.0, z) - y_float * z) + penalty * (w @ w)
+        )
+        residual = p - y_float
+        grad_w = X.T @ residual + 2.0 * penalty * w
+        grad_b = float(np.sum(residual))
+        return loss, np.concatenate([grad_w, [grad_b]])
+
+    result = optimize.minimize(
+        objective,
+        theta0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": max_iter, "gtol": tol},
+    )
+    return result.x
+
+
+def reference_score_grid(X, y, X_eval, values):
+    """Warm-started ascending-``C`` path, predictions per candidate."""
+    y_float = y.astype(np.float64)
+    predictions = np.empty((len(values), X_eval.shape[0]), dtype=np.int64)
+    theta = np.zeros(X.shape[1] + 1)
+    for index in sorted(range(len(values)), key=lambda i: values[i]):
+        theta = reference_solve(X, y_float, theta.copy(), values[index])
+        logits = X_eval @ theta[: X.shape[1]] + float(theta[X.shape[1]])
+        predictions[index] = reference_sigmoid(logits) >= 0.5
+    return predictions
+
+
+def random_problem(rng):
+    n = int(rng.integers(40, 400))
+    d = int(rng.integers(1, 30))
+    X = rng.normal(size=(n, d))
+    X[:, 0] = X[:, 0] > 0  # one one-hot-like column, as in the study
+    w = rng.normal(scale=float(rng.uniform(0.1, 5.0)), size=d)
+    y = (X @ w + rng.normal(size=n) > 0).astype(np.int64)
+    if y.min() == y.max():
+        y[0] = 1 - y[0]
+    return X, y
+
+
+def test_sigmoid_bit_equal_to_masked_form_on_edge_values():
+    z = np.array([0.0, -0.0, np.inf, -np.inf, 750.0, -750.0, 1e-300, -1e-300])
+    assert _sigmoid(z).tobytes() == reference_sigmoid(z).tobytes()
+
+
+def test_sigmoid_bit_equal_to_masked_form_on_random_inputs():
+    rng = np.random.default_rng(0)
+    for scale in (1e-3, 1.0, 40.0, 800.0):
+        z = rng.normal(scale=scale, size=10_007)
+        assert _sigmoid(z).tobytes() == reference_sigmoid(z).tobytes()
+
+
+def test_logistic_fit_equals_reference_objective():
+    rng = np.random.default_rng(1)
+    for __ in range(8):
+        X, y = random_problem(rng)
+        for C in STUDY_C_GRID:
+            model = LogisticRegressionClassifier(C=C).fit(X, y)
+            theta = reference_solve(
+                X, y.astype(np.float64), np.zeros(X.shape[1] + 1), C
+            )
+            assert model.coef_.tobytes() == theta[:-1].tobytes()
+            assert model.intercept_ == float(theta[-1])
+
+
+def test_logistic_score_grid_equals_reference_path():
+    rng = np.random.default_rng(2)
+    candidates = [{"C": C} for C in STUDY_C_GRID]
+    for __ in range(8):
+        X, y = random_problem(rng)
+        X_eval = rng.normal(size=(60, X.shape[1]))
+        fast = LogisticRegressionClassifier().score_grid(
+            X, y, X_eval, np.zeros(60, dtype=np.int64), candidates
+        )
+        expected = reference_score_grid(X, y, X_eval, list(STUDY_C_GRID))
+        assert np.array_equal(fast, expected)

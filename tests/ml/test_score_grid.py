@@ -12,6 +12,7 @@ RNG-prefix property.
 import numpy as np
 import pytest
 
+import repro.ml.knn as knn_module
 from repro.benchmark.models import MODEL_NAMES, model_search
 from repro.fairness.metrics import equal_opportunity
 from repro.ml import (
@@ -34,10 +35,11 @@ def make_data(n=240, d=6, seed=0, scale=1.5):
     return X, y
 
 
-def make_tied_data(n=160, d=4, seed=1):
-    """Binary features: many duplicate rows, hence exact distance ties."""
+def make_tied_data(n=160, d=4, seed=1, levels=2):
+    """Integer features (binary by default): many duplicate rows, hence
+    exact distance ties."""
     rng = np.random.default_rng(seed)
-    X = rng.integers(0, 2, size=(n, d)).astype(float)
+    X = rng.integers(0, levels, size=(n, d)).astype(float)
     y = rng.integers(0, 2, size=n)
     return X, y
 
@@ -83,9 +85,11 @@ def test_knn_grid_identical_on_continuous_data():
     assert_searches_identical(naive, fast)
 
 
-def test_knn_grid_identical_under_distance_ties():
-    """Duplicate rows force boundary ties; the per-row fallback must
-    replay the naive argpartition selection exactly."""
+def test_knn_grid_identical_under_distance_ties(monkeypatch):
+    """Duplicate rows force boundary ties; the tie replay must repeat
+    the naive argpartition selection exactly. The three-level cases run
+    with small chunks, so the replay handles many tied rows per chunk
+    and runs once per chunk, not once per call."""
     X, y = make_tied_data()
     naive, fast = fit_both_paths(
         KNearestNeighborsClassifier(),
@@ -95,6 +99,20 @@ def test_knn_grid_identical_under_distance_ties():
         random_state=3,
     )
     assert_searches_identical(naive, fast)
+
+    monkeypatch.setattr(knn_module, "_CHUNK_TARGET_CELLS", 4_000)
+    for seed in range(4):
+        X, y = make_tied_data(n=80 + 60 * seed, d=1 + seed, seed=seed, levels=3)
+        n_train = 2 * len(y) // 3
+        values = [1, 2, 3, 5, 8, 13, 21, n_train, n_train + 7]
+        fast = KNearestNeighborsClassifier().score_grid(
+            X[:n_train], y[:n_train], X[n_train:], y[n_train:],
+            [{"n_neighbors": k} for k in values],
+        )
+        for index, k in enumerate(values):
+            model = KNearestNeighborsClassifier(n_neighbors=k)
+            model.fit(X[:n_train], y[:n_train])
+            assert np.array_equal(fast[index], model.predict(X[n_train:])), k
 
 
 def test_knn_score_grid_matches_per_candidate_predictions():
