@@ -2,9 +2,11 @@
 
 Exact euclidean kNN. Distances are computed in memory-bounded chunks
 so that large test sets do not materialise an n_test × n_train matrix
-at once. The squared training norms are cached at fit time, and a
-``score_grid`` fast path evaluates a whole ``n_neighbors`` grid from
-one distance matrix per chunk: one ``argpartition`` up to
+at once. Each chunk's distances are built in place in the array of its
+product with the training matrix, bit-identical to the textbook
+``||t||^2 - 2 x.t`` form. The squared training norms are cached at fit
+time, and a ``score_grid`` fast path evaluates a whole ``n_neighbors``
+grid from one distance matrix per chunk: one ``argpartition`` up to
 ``max(k) + 1``, one sort of the top block, then prefix votes per
 ``k`` — with an exact replay of the naive selection, one call per
 chunk and ``k``, for the rows where a distance tie at the
@@ -57,9 +59,17 @@ class KNearestNeighborsClassifier(BaseClassifier):
         return X
 
     def _chunk_distances(self, chunk: np.ndarray) -> np.ndarray:
-        """Squared euclidean distance; constant ||x||^2 term omitted."""
+        """Squared euclidean distance; constant ||x||^2 term omitted.
+
+        Built in the product's own array: scaling by -2 is exact and
+        ``a - b`` is ``(-b) + a`` in IEEE arithmetic, so the bits equal
+        ``train_sq - 2 * (chunk @ X.T)``.
+        """
         assert self._X is not None and self._train_sq is not None
-        return self._train_sq[None, :] - 2.0 * (chunk @ self._X.T)
+        distances = chunk @ self._X.T
+        distances *= -2.0
+        distances += self._train_sq
+        return distances
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self._X is None or self._y is None:

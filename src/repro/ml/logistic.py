@@ -4,7 +4,7 @@ Fitted by minimising the penalised negative log-likelihood
 
     L(w, b) = -sum_i log p_i + ||w||^2 / (2 C)
 
-with scipy's L-BFGS-B and an analytic gradient. The intercept is not
+with L-BFGS-B and an analytic gradient. The intercept is not
 penalised, matching scikit-learn's behaviour for the paper's tuned ``C``.
 
 ``fit`` always starts the solver from zeros, so a fitted model does not
@@ -12,35 +12,106 @@ depend on what was fitted before it. The one warm-started path is
 ``score_grid``, which walks a ``C`` grid in ascending order on a single
 train/test split.
 
-The solver gets the loss and the gradient as separate callables: one
-pass over ``X`` computes both and keeps the gradient for its point,
-which skips scipy's wrapper for combined objectives. ``_sigmoid``
-evaluates one ``exp`` over the whole array. Both feed the same
-floating-point operations to the same inputs as the masked two-branch
-sigmoid and the combined ``(loss, gradient)`` objective, so every
-solver path, and every fitted coefficient, is bit-identical to theirs.
+``_lbfgsb_minimize`` drives scipy's compiled L-BFGS-B routine
+``setulb`` in the same loop, with the same settings, as
+``scipy.optimize.minimize(method="L-BFGS-B")``, but asks the objective
+for the loss and the gradient in one call per point, without scipy's
+wrapper objects around each evaluation. The objective works in place
+where that is exact, and ``_sigmoid`` evaluates one ``exp`` and one
+division over the whole array. The solver therefore sees the same
+``(f, g)`` at the same points as under ``minimize`` with the plain
+two-branch sigmoid, so every solver path and every fitted coefficient
+is bit-identical to it.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
-from scipy import optimize
+from scipy.optimize import _lbfgsb
 
 from repro.ml.base import BaseClassifier, clone, split_single_parameter_grid
+
+# The settings ``minimize(method="L-BFGS-B")`` passes to ``setulb`` by
+# default: history size, ``factr = ftol / eps`` and line-search budget,
+# plus its evaluation cap.
+_MAXCOR = 10
+_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_MAXLS = 20
+_MAXFUN = 15000
+
+# ``task`` codes of scipy's C port of L-BFGS-B: requests from ``setulb``
+# and the stops the caller may set.
+_TASK_FG = 3
+_TASK_NEW_X = 1
+_TASK_STOP = 5
+_STOP_MAXFUN = 502
+_STOP_MAXITER = 504
+
+
+def _lbfgsb_minimize(
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    theta0: np.ndarray,
+    max_iter: int,
+    gtol: float,
+) -> np.ndarray:
+    """Minimise ``objective(theta) -> (loss, grad)`` from ``theta0``.
+
+    The loop of scipy's ``_minimize_lbfgsb`` without bounds: evaluate
+    where ``setulb`` asks, count iterations at each new point and stop
+    after ``max_iter`` of them or once more than ``_MAXFUN``
+    evaluations were made. ``objective`` must not keep ``theta``:
+    ``setulb`` overwrites it in place.
+    """
+    n = theta0.size
+    x = np.array(theta0, dtype=np.float64)
+    lower = np.zeros(n)
+    upper = np.zeros(n)
+    nbd = np.zeros(n, np.int32)
+    f = np.array(0.0)
+    g = np.zeros(n)
+    wa = np.zeros(2 * _MAXCOR * n + 5 * n + 11 * _MAXCOR**2 + 8 * _MAXCOR)
+    iwa = np.zeros(3 * n, np.int32)
+    task = np.zeros(2, np.int32)
+    ln_task = np.zeros(2, np.int32)
+    lsave = np.zeros(4, np.int32)
+    isave = np.zeros(44, np.int32)
+    dsave = np.zeros(29)
+    n_iterations = n_evaluations = 0
+    while True:
+        _lbfgsb.setulb(
+            _MAXCOR, x, lower, upper, nbd, f, g, _FACTR, gtol, wa, iwa,
+            task, lsave, isave, dsave, _MAXLS, ln_task,
+        )
+        if task[0] == _TASK_FG:
+            f, g = objective(x)
+            n_evaluations += 1
+        elif task[0] == _TASK_NEW_X:
+            n_iterations += 1
+            if n_iterations >= max_iter:
+                task[:] = (_TASK_STOP, _STOP_MAXITER)
+            elif n_evaluations > _MAXFUN:
+                task[:] = (_TASK_STOP, _STOP_MAXFUN)
+        else:
+            return x
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function.
 
-    One ``exp(-|z|)`` over the whole array, then ``1 / (1 + e)`` where
-    ``z >= 0`` and ``e / (1 + e)`` elsewhere: each element sees the
-    same ``exp`` input and the same arithmetic as a masked two-branch
-    evaluation, so the values are bit-identical to it.
+    One ``e = exp(-|z|)`` over the whole array, then one division of
+    ``1`` where ``z >= 0`` and of ``e`` elsewhere by ``1 + e``: each
+    element sees the same ``exp`` input and the same arithmetic as a
+    masked two-branch evaluation, so the values are bit-identical to it.
     """
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    p = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    p /= e
+    return p
 
 
 class LogisticRegressionClassifier(BaseClassifier):
@@ -62,47 +133,29 @@ class LogisticRegressionClassifier(BaseClassifier):
         self.intercept_: float = 0.0
 
     def _solve(self, X: np.ndarray, y_float: np.ndarray, theta0: np.ndarray) -> np.ndarray:
-        """Minimise the penalised NLL from ``theta0`` via L-BFGS-B.
-
-        The loss and its gradient come from one pass over ``X``; the
-        gradient is kept for the last ``theta`` and returned by the
-        solver's ``jac`` call at that same point.
-        """
+        """Minimise the penalised NLL from ``theta0`` via L-BFGS-B."""
         n_features = X.shape[1]
         penalty = 1.0 / (2.0 * self.C)
-        last: list[np.ndarray] = []
+        two_penalty = 2.0 * penalty
 
-        def loss_and_grad(theta: np.ndarray) -> float:
-            w, b = theta[:n_features], theta[n_features]
-            z = X @ w + b
-            p = _sigmoid(z)
+        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+            w = theta[:n_features]
+            z = X @ w
+            z += theta[n_features]
             # log-likelihood via the numerically stable log1p formulation;
             # logaddexp's exp may differ from _sigmoid's by an ulp, so the
             # loss keeps its own
-            loss = float(
-                np.add.reduce(np.logaddexp(0.0, z) - y_float * z)
-                + penalty * (w @ w)
-            )
-            residual = p - y_float
+            nll = np.logaddexp(0.0, z)
+            nll -= y_float * z
+            residual = _sigmoid(z)
+            residual -= y_float
             grad = np.empty(n_features + 1)
-            grad[:n_features] = X.T @ residual + 2.0 * penalty * w
+            grad[:n_features] = X.T @ residual
+            grad[:n_features] += two_penalty * w
             grad[n_features] = np.add.reduce(residual)
-            last[:] = [theta.copy(), grad]
-            return loss
+            return float(np.add.reduce(nll) + penalty * (w @ w)), grad
 
-        def gradient(theta: np.ndarray) -> np.ndarray:
-            if not (last and (theta == last[0]).all()):
-                loss_and_grad(theta)
-            return last[1]
-
-        result = optimize.minimize(
-            loss_and_grad,
-            theta0,
-            jac=gradient,
-            method="L-BFGS-B",
-            options={"maxiter": self.max_iter, "gtol": self.tol},
-        )
-        return result.x
+        return _lbfgsb_minimize(objective, theta0, self.max_iter, self.tol)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegressionClassifier":
         """Fit by L-BFGS-B from zeros.
@@ -159,7 +212,7 @@ class LogisticRegressionClassifier(BaseClassifier):
         theta = np.zeros(X.shape[1] + 1)
         for index in order:
             model.C = values[index]
-            theta = model._solve(X, y_float, theta.copy())
+            theta = model._solve(X, y_float, theta)
             logits = X_eval @ theta[: X.shape[1]] + float(theta[X.shape[1]])
             predictions[index] = _sigmoid(logits) >= 0.5
         return predictions

@@ -1,8 +1,9 @@
 """The logistic kernels against straightforward references kept here.
 
-The logistic objective and the sigmoid are written for few
-Python-level calls. Each must still compute exactly
-what the plain form below computes: same bits, not merely close.
+The logistic objective, its L-BFGS-B driver and the sigmoid are written
+for few Python-level calls. Each must still compute exactly what the
+plain form below computes, solved by ``scipy.optimize.minimize``: same
+bits, not merely close.
 """
 
 import numpy as np
@@ -25,8 +26,8 @@ def reference_sigmoid(z):
     return out
 
 
-def reference_solve(X, y_float, theta0, C, max_iter=200, tol=1e-6):
-    """L-BFGS-B on a combined (loss, gradient) objective."""
+def reference_result(X, y_float, theta0, C, max_iter=200, tol=1e-6):
+    """``minimize``'s L-BFGS-B on a combined (loss, gradient) objective."""
     n_features = X.shape[1]
     penalty = 1.0 / (2.0 * C)
 
@@ -42,14 +43,17 @@ def reference_solve(X, y_float, theta0, C, max_iter=200, tol=1e-6):
         grad_b = float(np.sum(residual))
         return loss, np.concatenate([grad_w, [grad_b]])
 
-    result = optimize.minimize(
+    return optimize.minimize(
         objective,
         theta0,
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": max_iter, "gtol": tol},
     )
-    return result.x
+
+
+def reference_solve(X, y_float, theta0, C, max_iter=200, tol=1e-6):
+    return reference_result(X, y_float, theta0, C, max_iter, tol).x
 
 
 def reference_score_grid(X, y, X_eval, values):
@@ -73,6 +77,20 @@ def random_problem(rng):
     y = (X @ w + rng.normal(size=n) > 0).astype(np.int64)
     if y.min() == y.max():
         y[0] = 1 - y[0]
+    return X, y
+
+
+def study_shaped_problem(rng):
+    """Rows and columns like one CV fold of the study's adult/folk
+    cells: a few standardised numeric columns and one-hot blocks."""
+    n = int(rng.integers(900, 1401))
+    blocks = [rng.normal(size=(n, int(rng.integers(3, 7))))]
+    while sum(block.shape[1] for block in blocks) < 35:
+        levels = int(rng.integers(2, 10))
+        blocks.append(np.eye(levels)[rng.integers(0, levels, size=n)])
+    X = np.hstack(blocks)[:, : int(rng.integers(35, 42))]
+    w = rng.normal(size=X.shape[1])
+    y = (X @ w + rng.normal(scale=2.0, size=n) > 0).astype(np.int64)
     return X, y
 
 
@@ -112,3 +130,36 @@ def test_logistic_score_grid_equals_reference_path():
         )
         expected = reference_score_grid(X, y, X_eval, list(STUDY_C_GRID))
         assert np.array_equal(fast, expected)
+
+
+def test_logistic_fit_equals_reference_when_max_iter_cuts_the_solve():
+    """The driver's iteration stop must end where ``minimize``'s does."""
+    rng = np.random.default_rng(3)
+    problems = [random_problem(rng) for __ in range(4)]
+    problems += [study_shaped_problem(rng) for __ in range(2)]
+    for X, y in problems:
+        y_float = y.astype(np.float64)
+        for max_iter in (1, 2, 5):
+            for C in (STUDY_C_GRID[0], STUDY_C_GRID[-1]):
+                model = LogisticRegressionClassifier(C=C, max_iter=max_iter)
+                model.fit(X, y)
+                expected = reference_result(
+                    X, y_float, np.zeros(X.shape[1] + 1), C, max_iter
+                )
+                assert expected.nit == max_iter and not expected.success
+                assert model.coef_.tobytes() == expected.x[:-1].tobytes()
+                assert model.intercept_ == float(expected.x[-1])
+
+
+def test_logistic_warm_path_equals_reference_on_study_shaped_inputs():
+    """The ascending-``C`` warm-started path of ``score_grid``, solve by
+    solve, on fold-sized mostly one-hot matrices."""
+    rng = np.random.default_rng(4)
+    for __ in range(3):
+        X, y = study_shaped_problem(rng)
+        y_float = y.astype(np.float64)
+        theta = expected = np.zeros(X.shape[1] + 1)
+        for C in sorted(STUDY_C_GRID):
+            theta = LogisticRegressionClassifier(C=C)._solve(X, y_float, theta)
+            expected = reference_solve(X, y_float, expected.copy(), C)
+            assert theta.tobytes() == expected.tobytes(), C

@@ -130,6 +130,18 @@ def test_knn_score_grid_matches_per_candidate_predictions():
             assert np.array_equal(fast[index], model.predict(X[test_idx]))
 
 
+def test_knn_chunk_distances_bit_equal_to_textbook_form():
+    """In-place ``-2 G + train_sq`` equals ``train_sq - 2 G`` bit for bit."""
+    rng = np.random.default_rng(9)
+    cases = [make_data(n=300, d=d, seed=d) for d in (1, 6, 38)]
+    cases += [make_tied_data(n=200, d=d, seed=d, levels=3) for d in (1, 4)]
+    for X, y in cases:
+        model = KNearestNeighborsClassifier().fit(X, y)
+        for chunk in (X[:117], X[::-3], rng.normal(size=(64, X.shape[1]))):
+            expected = model._train_sq[None, :] - 2.0 * (chunk @ X.T)
+            assert model._chunk_distances(chunk).tobytes() == expected.tobytes()
+
+
 def test_knn_caches_train_norms_at_fit_time():
     X, y = make_data(n=60)
     model = KNearestNeighborsClassifier(n_neighbors=3).fit(X, y)
