@@ -1,28 +1,20 @@
 """Populate the shared bench result store (resumable).
 
-Scale: n_sample=3000 with a 40% test split; 12 repetitions for
-missing values and mislabels, 8 for outliers (which have 10 model
-versions per repetition). The store is keyed per run, so re-running
-this script resumes instead of recomputing — including records
-recovered from JSONL journal shards of an interrupted parallel run.
+Scale: ``STUDY_CONFIGS`` in ``benchmarks/conftest.py`` — n_sample=3000
+with a 40% test split; 12 repetitions for missing values and
+mislabels, 8 for outliers (which have 10 model versions per
+repetition). The store is keyed per run, so re-running this script
+resumes instead of recomputing — including records recovered from
+JSONL journal shards of an interrupted run.
 
 ``--workers N`` shards the pending runs across a multiprocessing
 pool; the resulting store is byte-identical to a serial run.
 """
 import argparse
-from pathlib import Path
 
-from repro import StudyConfig, ExperimentRunner
+from conftest import STORE_PATH, STUDY_CONFIGS
+
 from repro.benchmark import ResultStore, run_parallel_study
-from repro.datasets import DATASET_NAMES
-
-STORE_PATH = Path(__file__).parent / "_results" / "study.json"
-
-CONFIGS = {
-    "missing_values": StudyConfig(n_sample=3_000, test_fraction=0.4, n_repetitions=12),
-    "mislabels": StudyConfig(n_sample=3_000, test_fraction=0.4, n_repetitions=12),
-    "outliers": StudyConfig(n_sample=3_000, test_fraction=0.4, n_repetitions=8),
-}
 
 
 def main() -> None:
@@ -31,27 +23,19 @@ def main() -> None:
         "--workers",
         type=int,
         default=1,
-        help="worker processes (>1 runs the sharded parallel executor)",
+        help="worker processes (1 runs the units in-process)",
     )
     args = parser.parse_args()
     store = ResultStore(STORE_PATH)
-    for error_type, config in CONFIGS.items():
-        if args.workers > 1:
-            added = run_parallel_study(
-                config,
-                store,
-                workers=args.workers,
-                error_types=(error_type,),
-                progress=lambda line: print(line, flush=True),
-            )
-            print(f"{error_type}: +{added} (total {len(store)})", flush=True)
-            continue
-        runner = ExperimentRunner(config, store)
-        for dataset in DATASET_NAMES:
-            added = runner.run_dataset_error(dataset, error_type)
-            print(f"{dataset}/{error_type}: +{added} (total {len(store)})", flush=True)
-            if added:
-                store.save()
+    for error_type, config in STUDY_CONFIGS.items():
+        added = run_parallel_study(
+            config,
+            store,
+            workers=args.workers,
+            error_types=(error_type,),
+            progress=lambda line: print(line, flush=True),
+        )
+        print(f"{error_type}: +{added} (total {len(store)})", flush=True)
     print("study complete:", len(store), "records", flush=True)
 
 

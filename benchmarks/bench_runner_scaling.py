@@ -5,8 +5,8 @@ Measures, and appends to ``BENCH_runner.json`` at the repo root:
 - the latency of one repetition cell — the work unit the parallel
   scheduler ships to workers;
 - the wall clock of a small full study (german, all three error
-  types) swept over ``workers`` 1→N for every executor backend
-  (serial / process / thread), with the peak RSS observed after each
+  types) swept over ``workers`` 1→N for both executor backends
+  (serial / process), with the peak RSS observed after each
   (backend, workers) point and a cross-backend byte-identity check of
   the resulting stores;
 - the dataset *ship time* for one study round on a 2-worker pool
@@ -134,7 +134,7 @@ def test_backend_worker_sweep(tmp_path):
     records = None
     serial_s = None
     run_index = 0
-    for backend in ("serial", "process", "thread"):
+    for backend in ("serial", "process"):
         worker_points = (1,) if backend == "serial" else tuple(
             range(1, MAX_WORKERS + 1)
         )
@@ -159,11 +159,7 @@ def test_backend_worker_sweep(tmp_path):
                 backend, store_fingerprint(directory / "study.json")
             )
         sweeps[backend] = {"workers": points}
-    byte_identical = (
-        fingerprints["serial"]
-        == fingerprints["process"]
-        == fingerprints["thread"]
-    )
+    byte_identical = fingerprints["serial"] == fingerprints["process"]
     assert byte_identical, "stores diverged across backends"
     _merge_artifact(
         {

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import ExperimentRunner, StudyConfig
+from repro import StudyConfig
 from repro.benchmark import ResultStore, run_parallel_study
 from repro.datasets import DATASET_NAMES, dataset_definition
 
@@ -30,8 +30,8 @@ STORE_PATH = RESULTS_DIR / "study.json"
 #: Worker processes used to populate the store (1 = serial in-process).
 BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
-#: Same scales as benchmarks/_run_study.py (kept in sync manually so
-#: the bench suite can both consume a pre-built store and build one).
+#: The committed store's scales, per error type (also used by
+#: ``benchmarks/_run_study.py``, which builds the store up front).
 STUDY_CONFIGS = {
     "missing_values": StudyConfig(n_sample=3_000, test_fraction=0.4, n_repetitions=12),
     "mislabels": StudyConfig(n_sample=3_000, test_fraction=0.4, n_repetitions=12),
@@ -52,19 +52,12 @@ def ensure_error_type(
     store: ResultStore, error_type: str, workers: int = BENCH_WORKERS
 ) -> None:
     """Populate any missing runs for one error type (resumable)."""
-    if workers > 1:
-        run_parallel_study(
-            STUDY_CONFIGS[error_type],
-            store,
-            workers=workers,
-            error_types=(error_type,),
-        )
-        return
-    runner = ExperimentRunner(STUDY_CONFIGS[error_type], store)
-    for dataset in DATASET_NAMES:
-        added = runner.run_dataset_error(dataset, error_type)
-        if added:
-            store.save()
+    run_parallel_study(
+        STUDY_CONFIGS[error_type],
+        store,
+        workers=workers,
+        error_types=(error_type,),
+    )
 
 
 def map_parallel(fn, items, workers: int = BENCH_WORKERS) -> list:

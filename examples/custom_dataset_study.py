@@ -20,7 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import ExperimentRunner, FairnessAwareSelector, ImpactAnalysis, StudyConfig
+from repro import (
+    FairnessAwareSelector,
+    ImpactAnalysis,
+    StudyConfig,
+    run_parallel_study,
+)
 from repro.benchmark import ResultStore
 from repro.datasets import DatasetDefinition
 from repro.datasets import synthetic as syn
@@ -32,13 +37,16 @@ def make_hiring_table(n_rows: int, seed: int) -> Table:
     """A small hiring dataset with organically missing references."""
     rng = np.random.default_rng(seed)
     sex = syn.categorical(rng, n_rows, ["male", "female"], [0.55, 0.45])
-    is_male = np.array([value == "male" for value in sex])
+    is_male = sex.eq("male")
     experience = np.clip(rng.gamma(2.0, 4.0, size=n_rows), 0, 40).round()
     education = syn.categorical(
         rng, n_rows, ["hs", "bachelor", "master"], [0.3, 0.5, 0.2]
     )
     edu_score = np.array(
-        [{"hs": 0.0, "bachelor": 1.0, "master": 2.0}[value] for value in education]
+        [
+            {"hs": 0.0, "bachelor": 1.0, "master": 2.0}[value]
+            for value in education.decode()
+        ]
     )
     interview_score = syn.clipped_normal(rng, n_rows, 6.0, 2.0, 0, 10)
     latent = (
@@ -89,7 +97,8 @@ def main() -> None:
         privileged_groups=(GroupPredicate("sex", Comparison.EQ, "male"),),
     )
 
-    # 2. run the study directly against the custom definition
+    # 2. run the study directly against the custom definition (in
+    #    process: its CSV-reading closure cannot reach a worker pool)
     table_full = hiring.generate(n_rows=3_000, seed=0)
     print(f"missing reference scores: {table_full.missing_counts()['reference_score']}")
 
@@ -100,9 +109,10 @@ def main() -> None:
         dataset_sizes={"hiring": 3_000},
     )
     store = ResultStore()
-    runner = ExperimentRunner(config, store)
     print("running hiring / missing-values configurations ...")
-    added = runner.run_definition(hiring, "missing_values")
+    added = run_parallel_study(
+        config, store, datasets=[hiring], error_types=["missing_values"]
+    )
     print(f"added {added} run records\n")
 
     # 3. fairness-aware selection: which imputation should we ship?

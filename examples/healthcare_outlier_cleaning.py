@@ -13,7 +13,7 @@ Usage::
     python examples/healthcare_outlier_cleaning.py
 """
 
-from repro import ExperimentRunner, ImpactAnalysis, StudyConfig, load_dataset
+from repro import ImpactAnalysis, StudyConfig, load_dataset, run_parallel_study
 from repro.benchmark import ResultStore
 from repro.cleaning import IqrOutlierDetector, SdOutlierDetector
 from repro.reporting import render_impact_matrix
@@ -42,9 +42,10 @@ def main() -> None:
 
     config = StudyConfig(n_sample=800, n_repetitions=6, models=("log_reg",))
     store = ResultStore()
-    runner = ExperimentRunner(config, store)
     print("running the heart / outliers configurations ...")
-    added = runner.run_dataset_error("heart", "outliers")
+    added = run_parallel_study(
+        config, store, datasets=["heart"], error_types=["outliers"]
+    )
     print(f"evaluated {added} cleaning configurations x 6 splits\n")
 
     analysis = ImpactAnalysis(store)

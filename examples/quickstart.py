@@ -9,7 +9,7 @@ Usage::
     python examples/quickstart.py
 """
 
-from repro import ExperimentRunner, ImpactAnalysis, StudyConfig
+from repro import ImpactAnalysis, StudyConfig, run_parallel_study
 from repro.benchmark import ResultStore
 from repro.reporting import render_impact_matrix
 
@@ -21,10 +21,11 @@ def main() -> None:
         n_sample=2_500, test_fraction=0.4, n_repetitions=10, models=("log_reg",)
     )
     store = ResultStore()
-    runner = ExperimentRunner(config, store)
 
     print("running the adult / missing-values configurations ...")
-    added = runner.run_dataset_error("adult", "missing_values")
+    added = run_parallel_study(
+        config, store, datasets=["adult"], error_types=["missing_values"]
+    )
     print(f"trained and evaluated {2 * added} models ({added} run records)\n")
 
     analysis = ImpactAnalysis(store)

@@ -16,11 +16,15 @@ scratch on numpy/scipy:
 
 Quickstart::
 
-    from repro import StudyConfig, ResultStore, ExperimentRunner, ImpactAnalysis
+    from repro import ImpactAnalysis, ResultStore, StudyConfig, run_parallel_study
 
     store = ResultStore("results.json")
-    runner = ExperimentRunner(StudyConfig.laptop_scale(), store)
-    runner.run_dataset_error("german", "missing_values")
+    run_parallel_study(
+        StudyConfig.laptop_scale(),
+        store,
+        datasets=["german"],
+        error_types=["missing_values"],
+    )
     analysis = ImpactAnalysis(store)
     matrix = analysis.matrix("missing_values", "PP", intersectional=False)
 """
@@ -34,6 +38,7 @@ from repro.benchmark import (
     ImpactAnalysis,
     ResultStore,
     StudyConfig,
+    run_parallel_study,
 )
 from repro.datasets import DATASET_NAMES, dataset_definition, load_dataset
 
@@ -43,6 +48,7 @@ __all__ = [
     "StudyConfig",
     "ResultStore",
     "ExperimentRunner",
+    "run_parallel_study",
     "ImpactAnalysis",
     "DisparityAnalysis",
     "DeepDive",

@@ -24,13 +24,12 @@ from repro import (
     DATASET_NAMES,
     DeepDive,
     DisparityAnalysis,
-    ExperimentRunner,
     ImpactAnalysis,
     StudyConfig,
     dataset_definition,
     load_dataset,
 )
-from repro.benchmark import ResultStore
+from repro.benchmark import ExecutorOptions, ResultStore, run_parallel_study
 from repro.reporting import (
     render_case_counts,
     render_dataset_table,
@@ -118,51 +117,39 @@ def _cmd_study(args: argparse.Namespace) -> int:
     # memory profiling records into the trace sidecars, so it implies
     # tracing rather than erroring on the missing flag
     trace = args.trace or args.profile_memory
-    fault_flags = (
-        args.max_retries is not None
-        or args.cell_timeout is not None
-        or args.fsync_journal
-        or trace
+    options = ExecutorOptions(
+        transport=args.transport,
+        max_retries=2 if args.max_retries is None else args.max_retries,
+        cell_timeout=args.cell_timeout,
+        fsync_journal=args.fsync_journal,
+        trace=trace,
+        profile_memory=args.profile_memory,
+        ledger=args.ledger,
     )
-    if config.workers > 1 or fault_flags or args.backend != "process":
-        from repro.benchmark import ExecutorOptions, run_parallel_study
-
-        options = ExecutorOptions(
-            backend=args.backend,
-            transport=args.transport,
-            max_retries=2 if args.max_retries is None else args.max_retries,
-            cell_timeout=args.cell_timeout,
-            fsync_journal=args.fsync_journal,
-            trace=trace,
-            profile_memory=args.profile_memory,
-            ledger=args.ledger,
-        )
-        total = run_parallel_study(
-            config,
-            store,
-            datasets=names,
-            error_types=error_types,
-            options=options,
-            progress=lambda line: print(line, flush=True),
-        )
-        print(f"added {total} records ({len(store)} in store)")
-        return 0
-    runner = ExperimentRunner(config, store)
-    total = 0
-    for error_type in error_types:
-        for name in names:
-            added = runner.run_dataset_error(name, error_type)
-            total += added
-            print(f"{name}/{error_type}: +{added}", flush=True)
-            if added:
-                store.save()
-    if args.ledger and store.path is not None:
-        from repro.obs import record_run
-
-        entry = record_run(store, config=config)
-        print(f"ledgered run {entry['run_id']}")
+    failures = store.failures_path
+    poisoned_before = _count_lines(failures)
+    total = run_parallel_study(
+        config,
+        store,
+        datasets=names,
+        error_types=error_types,
+        options=options,
+        progress=lambda line: print(line, flush=True),
+    )
     print(f"added {total} records ({len(store)} in store)")
+    # a run that poisoned nothing removes the sidecar; otherwise it
+    # appended one line per unit it poisoned
+    poisoned = max(0, _count_lines(failures) - poisoned_before)
+    if poisoned:
+        print(f"poisoned {poisoned} work unit(s); see {failures}")
+        return 1
     return 0
+
+
+def _count_lines(path) -> int:
+    if not path.exists():
+        return 0
+    return sum(1 for line in path.read_text().splitlines() if line.strip())
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
@@ -519,17 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=1,
-        help="worker processes; >1 shards pending runs across a pool "
-        "(results are byte-identical to a serial run)",
-    )
-    study.add_argument(
-        "--backend",
-        choices=("process", "thread", "serial"),
-        default="process",
-        help="where work units execute: a multiprocessing pool (default), "
-        "a thread pool (zero transport cost; worthwhile for GIL-releasing "
-        "numpy workloads), or a serial in-process loop — the result store "
-        "is byte-identical across all three",
+        help="worker processes; >1 shards pending runs across a pool, 1 "
+        "runs them in-process (results are byte-identical either way)",
     )
     study.add_argument(
         "--transport",

@@ -16,18 +16,17 @@ Three pieces cooperate:
   including cells recovered from a journal shard of a killed run) and
   groups them into :class:`WorkUnit` shards that share one expensive
   version preparation (dataset, error_type, repetition).
-- :func:`run_parallel_study` ships units to a worker pool selected by
-  :attr:`ExecutorOptions.backend`: a ``multiprocessing`` pool (stdlib
-  only; the fork start method where available — it is cheap and does
-  not re-import the parent — with a spawn fallback elsewhere), a
-  thread pool for GIL-releasing workloads, or a serial in-process
-  loop. Process-pool workers receive datasets over the
+- :func:`run_parallel_study` is the only study driver. It ships units
+  to a ``multiprocessing`` pool (stdlib only; the fork start method
+  where available — it is cheap and does not re-import the parent —
+  with a spawn fallback elsewhere) or runs them one by one in-process
+  (the ``serial`` backend, ``workers == 1``, or a single pending
+  unit). Process-pool workers receive datasets over the
   :attr:`ExecutorOptions.transport` — zero-copy shared-memory refs
   (:mod:`repro.benchmark.transport`) where available, pickled tables
   otherwise — and every worker appends each completed record to its
-  own JSONL journal shard (``{stem}.w{pid}.jsonl``; thread workers
-  ``{stem}.w{pid}.t{tid}.jsonl``) the moment it exists, so a killed
-  run loses at most the in-flight cells.
+  own JSONL journal shard (``{stem}.w{pid}.jsonl``) the moment it
+  exists, so a killed run loses at most the in-flight cells.
 - The parent merges worker results into the master store and calls
   :meth:`ResultStore.save`, which compacts journal shards into the
   single ``{stem}.json``.
@@ -64,10 +63,8 @@ import ctypes
 import json
 import os
 import signal
-import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -89,7 +86,12 @@ from repro.cleaning.strategies import (
     OUTLIER_DETECTORS,
     OUTLIER_REPAIRS,
 )
-from repro.datasets import dataset_definition, load_dataset
+from repro.datasets import (
+    DATASET_NAMES,
+    DatasetDefinition,
+    dataset_definition,
+    load_dataset,
+)
 
 #: (detection, repair) pairs the runner produces per error type, in
 #: registry order. Used to derive the expected record keys of a cell
@@ -134,7 +136,8 @@ class WorkUnit:
     """Pending cells sharing one version preparation.
 
     Attributes:
-        dataset: Dataset name (resolved via the registry in the worker).
+        dataset: Dataset name (resolved via the registry in the worker,
+            or from the run's unregistered definitions in-process).
         error_type: Error type of the unit.
         repetition: Split index whose versions the unit prepares once.
         cells: Pending ``(model, tuning_seed)`` cells to evaluate.
@@ -150,28 +153,53 @@ class WorkUnit:
     done_keys: tuple[str, ...] = ()
 
 
+def _definitions(
+    datasets: Sequence[str | DatasetDefinition] | None,
+) -> list[DatasetDefinition]:
+    """Resolve registered names; pass definition objects through."""
+    if datasets is None:
+        datasets = DATASET_NAMES
+    return [
+        dataset if isinstance(dataset, DatasetDefinition) else dataset_definition(dataset)
+        for dataset in datasets
+    ]
+
+
+def _unregistered(
+    definitions: Sequence[DatasetDefinition],
+) -> dict[str, DatasetDefinition]:
+    """The definitions the registry does not hold, keyed by name.
+
+    A worker process resolves a unit's dataset by name, so it could
+    only ever load the registered definition of that name.
+    """
+    return {
+        definition.name: definition
+        for definition in definitions
+        if definition.name not in DATASET_NAMES
+        or dataset_definition(definition.name) != definition
+    }
+
+
 def plan_work_units(
     config: StudyConfig,
     store: ResultStore,
-    datasets: Sequence[str] | None = None,
+    datasets: Sequence[str | DatasetDefinition] | None = None,
     error_types: Sequence[str] | None = None,
     models: Sequence[str] | None = None,
 ) -> list[WorkUnit]:
     """Enumerate every pending cell and shard by shared preparation.
 
-    A cell is pending when any of its expected record keys is missing
-    from ``store``; error types a dataset does not support are skipped
-    entirely (mirroring :meth:`ExperimentRunner.run_definition`).
+    ``datasets`` holds registered names or :class:`DatasetDefinition`
+    objects (default: every registered dataset). A cell is pending
+    when any of its expected record keys is missing from ``store``;
+    error types a dataset does not support are skipped entirely.
     """
-    if datasets is None:
-        from repro.datasets import DATASET_NAMES
-
-        datasets = DATASET_NAMES
     error_types = tuple(error_types) if error_types is not None else ERROR_TYPES
     models = tuple(models) if models is not None else config.models
     units: list[WorkUnit] = []
-    for dataset in datasets:
-        definition = dataset_definition(dataset)
+    for definition in _definitions(datasets):
+        dataset = definition.name
         for error_type in error_types:
             if error_type not in ERROR_TYPES:
                 raise ValueError(
@@ -218,7 +246,7 @@ class StudyAborted(RuntimeError):
 
 
 #: Valid values of :attr:`ExecutorOptions.backend`.
-BACKENDS = ("process", "thread", "serial")
+BACKENDS = ("process", "serial")
 
 #: Valid values of :attr:`ExecutorOptions.transport`.
 TRANSPORTS = ("auto", "shm", "pickle")
@@ -230,31 +258,30 @@ class ExecutorOptions:
 
     Attributes:
         backend: Where work units execute. ``"process"`` (default) uses
-            a ``multiprocessing`` pool; ``"thread"`` a
-            ``ThreadPoolExecutor`` in the parent process — zero
-            transport cost, worthwhile when the hot path releases the
-            GIL (numpy kernels, scipy optimisers); ``"serial"`` runs
-            units in-process one by one regardless of ``workers``.
-            The result store is byte-identical across all three.
+            a ``multiprocessing`` pool of ``workers`` processes (or runs
+            in-process when ``workers`` is 1 or one unit is pending);
+            ``"serial"`` runs units in-process one by one regardless of
+            ``workers``. The result store is byte-identical across both.
         transport: How generated datasets reach process-pool workers.
             ``"shm"`` publishes each dataset once into shared-memory
             segments (see :mod:`repro.benchmark.transport`) and ships
             workers a zero-copy ref; ``"pickle"`` loads the dataset in
             the parent and pickles the table into every task;
             ``"auto"`` (default) picks shm when available, else
-            pickle. Ignored by the thread and serial backends, which
-            share the parent's address space.
+            pickle. Ignored by in-process runs, which share the
+            parent's address space.
         max_retries: Re-queue attempts per failing work unit before it
             is poisoned (recorded in ``{stem}.failures.jsonl`` and
             skipped rather than aborting the study).
         cell_timeout: Wall-clock seconds one ``(model, tuning_seed)``
             cell may take before a ``SIGALRM`` watchdog raises
             :class:`CellTimeoutError` inside the worker (None
-            disables). Off the main thread — thread backend — or on
-            platforms without ``SIGALRM``, a monotonic post-hoc
-            deadline check stands in for the watchdog: it cannot
-            interrupt a hung cell, but an overrunning cell still fails
-            with :class:`CellTimeoutError` once it returns (the
+            disables). Off the main thread — an in-process run driven
+            from another thread — or on platforms without ``SIGALRM``,
+            a monotonic post-hoc deadline check stands in for the
+            watchdog: it cannot interrupt a hung cell, but an
+            overrunning cell still fails with
+            :class:`CellTimeoutError` once it returns (the
             ``cell_deadline_fallback`` counter in :mod:`repro.obs`
             records every such degradation).
         fsync_journal: fsync every journal append before acknowledging
@@ -381,8 +408,8 @@ def _cell_deadline(seconds: float | None):
 
     No-op when ``seconds`` is None. When the platform lacks
     ``SIGALRM`` or the caller is not the main thread of its process
-    (the thread backend; pool workers and the in-process executor run
-    cells on the main thread), degrades to the
+    (an in-process run driven from another thread; pool workers run
+    cells on their main thread), degrades to the
     :func:`_monotonic_deadline` post-hoc check instead of silently
     dropping the deadline.
     """
@@ -516,18 +543,15 @@ def _single_blas_thread() -> None:
 
 #: Per-process cache of generated datasets, keyed by
 #: (name, n_rows, seed) — pool workers execute many units of the same
-#: dataset and must not regenerate it each time. Guarded by a lock for
-#: the thread backend, where workers share the parent's cache.
+#: dataset and must not regenerate it each time.
 _DATASET_CACHE: dict[tuple[str, int, int], Any] = {}
-_DATASET_CACHE_LOCK = threading.Lock()
 
 
 def _load_cached(name: str, n_rows: int, seed: int):
     key = (name, n_rows, seed)
-    with _DATASET_CACHE_LOCK:
-        if key not in _DATASET_CACHE:
-            _DATASET_CACHE[key] = load_dataset(name, n_rows=n_rows, seed=seed)
-        return _DATASET_CACHE[key]
+    if key not in _DATASET_CACHE:
+        _DATASET_CACHE[key] = load_dataset(name, n_rows=n_rows, seed=seed)
+    return _DATASET_CACHE[key]
 
 
 #: Per-process cache of shared-memory attachments, keyed by segment
@@ -539,10 +563,9 @@ _ATTACH_CACHE: dict[tuple[str, ...], Any] = {}
 
 def _attach_cached(ref: TableRef):
     key = ref.segment_names
-    with _DATASET_CACHE_LOCK:
-        if key not in _ATTACH_CACHE:
-            _ATTACH_CACHE[key] = attach_table(ref)
-        return _ATTACH_CACHE[key][0]
+    if key not in _ATTACH_CACHE:
+        _ATTACH_CACHE[key] = attach_table(ref)
+    return _ATTACH_CACHE[key][0]
 
 
 def _resolve_dataset(config: StudyConfig, unit: WorkUnit, payload: Any):
@@ -550,30 +573,19 @@ def _resolve_dataset(config: StudyConfig, unit: WorkUnit, payload: Any):
 
     ``payload`` is a :class:`TableRef` under the shm transport, a
     pickled :class:`repro.tabular.Table` under the pickle transport,
-    or None when the worker shares the parent's address space (thread
-    and serial backends, the in-process path) and loads from the
-    per-process cache directly.
+    an unregistered ``(definition, table)`` pair (in-process only), or
+    None when an in-process run loads from the per-process cache
+    directly.
     """
     if isinstance(payload, TableRef):
         return dataset_definition(unit.dataset), _attach_cached(payload)
+    if isinstance(payload, tuple):
+        return payload
     if payload is not None:
         return dataset_definition(unit.dataset), payload
     return _load_cached(
         unit.dataset, config.dataset_size(unit.dataset), config.generation_seed
     )
-
-
-def _journal_shard_suffix() -> str:
-    """Journal shard id of the calling worker.
-
-    Pool workers (and the in-process path) journal per process; thread
-    workers share a pid and journal per thread — concurrent appenders
-    must never interleave inside one file.
-    """
-    thread = threading.current_thread()
-    if thread is threading.main_thread():
-        return f"w{os.getpid()}"
-    return f"w{os.getpid()}.t{thread.ident}"
 
 
 #: Worker task: (config, unit, journal prefix, options, attempt
@@ -583,29 +595,20 @@ _Task = tuple[StudyConfig, WorkUnit, "str | None", ExecutorOptions, int, Any]
 
 def _run_unit(task: _Task) -> list[dict[str, Any]]:
     config, unit, journal_prefix, options, attempt, payload = task
-    # each worker *process* traces into its own shard file (pid-keyed,
+    # each worker process traces into its own shard file (pid-keyed,
     # like the journal shards); the scope restores any ambient tracer
-    # afterwards. Thread workers must NOT re-scope — the scope swaps
-    # process-global tracer state — and instead emit into the parent's
-    # (thread-safe) sink directly.
+    # afterwards
     trace_scope = (
         obs.scoped(f"{journal_prefix}.trace.w{os.getpid()}.jsonl")
-        if options.trace
-        and journal_prefix is not None
-        and options.backend != "thread"
-        and threading.current_thread() is threading.main_thread()
+        if options.trace and journal_prefix is not None
         else nullcontext()
     )
     # memory profiling is process-global like the tracer; the parent
-    # enables it around the whole run (covering thread/serial workers
-    # and fork-started pool children), and this per-unit scope covers
+    # enables it around the whole run (covering in-process units and
+    # fork-started pool children), and this per-unit scope covers
     # spawn-started workers that inherited nothing. Idempotent.
     profile_scope = (
-        profile_memory()
-        if options.profile_memory
-        and options.trace
-        and threading.current_thread() is threading.main_thread()
-        else nullcontext()
+        profile_memory() if options.profile_memory and options.trace else nullcontext()
     )
     with trace_scope, profile_scope:
         return _run_unit_traced(task)
@@ -625,7 +628,7 @@ def _run_unit_traced(task: _Task) -> list[dict[str, Any]]:
         )
     journal = (
         JournalWriter(
-            f"{journal_prefix}.{_journal_shard_suffix()}.jsonl",
+            f"{journal_prefix}.w{os.getpid()}.jsonl",
             fsync=options.fsync_journal,
         )
         if journal_prefix is not None
@@ -716,7 +719,7 @@ def run_parallel_study(
     config: StudyConfig,
     store: ResultStore,
     workers: int | None = None,
-    datasets: Sequence[str] | None = None,
+    datasets: Sequence[str | DatasetDefinition] | None = None,
     error_types: Sequence[str] | None = None,
     models: Sequence[str] | None = None,
     progress: Callable[[str], None] | None = None,
@@ -735,6 +738,12 @@ def run_parallel_study(
     of new records added (including records recovered from the journal
     shards of failed attempts).
 
+    ``datasets`` takes registered names and :class:`DatasetDefinition`
+    objects alike. A definition the registry does not hold (such as a
+    custom dataset whose generator is a closure) can only run
+    in-process: a process-pool run with one raises :class:`ValueError`
+    before any work.
+
     ``options`` controls fault tolerance (see :class:`ExecutorOptions`):
     failing units are retried with seeded capped-exponential backoff
     after recovering their journaled records, and poisoned into the
@@ -746,8 +755,15 @@ def run_parallel_study(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     options = ExecutorOptions() if options is None else options
+    definitions = _definitions(datasets)
+    unregistered = _unregistered(definitions)
+    if unregistered and options.backend == "process" and workers > 1:
+        raise ValueError(
+            f"unregistered dataset definition(s) {sorted(unregistered)} cannot "
+            "cross a process boundary; run with workers=1 or the serial backend"
+        )
     units = plan_work_units(
-        config, store, datasets=datasets, error_types=error_types, models=models
+        config, store, datasets=definitions, error_types=error_types, models=models
     )
     if progress is not None:
         n_cells = sum(len(unit.cells) for unit in units)
@@ -770,9 +786,9 @@ def run_parallel_study(
     in_process = (
         options.backend == "serial" or workers == 1 or len(units) == 1
     )
-    # dataset transport only applies across process boundaries; thread
-    # and serial workers share the parent's address space and cache
-    transport = options.transport if options.backend == "process" and not in_process else "none"
+    # dataset transport only applies across process boundaries;
+    # in-process units share the parent's address space and cache
+    transport = "none" if in_process else options.transport
     if transport == "auto":
         transport = "shm" if shared_memory_available() else "pickle"
     registry = ShmRegistry() if transport == "shm" else None
@@ -784,8 +800,21 @@ def run_parallel_study(
             config.generation_seed,
         )
 
+    unregistered_tables: dict[str, Any] = {}
+
     def dataset_payload(unit: WorkUnit) -> Any:
         """Transport payload for one dispatched task (leases shm)."""
+        if unit.dataset in unregistered:
+            if unit.dataset not in unregistered_tables:
+                definition = unregistered[unit.dataset]
+                unregistered_tables[unit.dataset] = (
+                    definition,
+                    definition.generate(
+                        n_rows=config.dataset_size(unit.dataset),
+                        seed=config.generation_seed,
+                    ),
+                )
+            return unregistered_tables[unit.dataset]
         if transport == "none":
             return None
         _definition, table = _load_cached(*_dataset_key(unit))
@@ -960,18 +989,6 @@ def run_parallel_study(
             obs.flush()
             if in_process:
                 run_rounds(lambda tasks: map(_execute_unit, tasks))
-            elif options.backend == "thread":
-                with ThreadPoolExecutor(
-                    max_workers=min(workers, len(units))
-                ) as pool:
-                    run_rounds(
-                        lambda tasks: (
-                            future.result()
-                            for future in as_completed(
-                                [pool.submit(_execute_unit, task) for task in tasks]
-                            )
-                        )
-                    )
             else:
                 context = _pool_context()
                 with context.Pool(
@@ -993,7 +1010,9 @@ def run_parallel_study(
         if options.ledger:
             from repro.obs.ledger import record_run
 
-            record_run(store, config=config)
+            entry = record_run(store, config=config)
+            if progress is not None:
+                progress(f"ledgered run {entry['run_id']}")
     return added
 
 

@@ -27,8 +27,8 @@ Persistence is **sharded and streaming** (format ``sharded-v1``):
   unreferenced shard files — a crash at any point leaves the previous
   manifest and every shard it references intact. Compression uses a
   fixed level and a zeroed gzip mtime, so identical records always
-  produce bit-identical shards (the parallel==serial==threaded
-  byte-identity guarantee extends to the on-disk store).
+  produce bit-identical shards (the parallel==serial byte-identity
+  guarantee extends to the on-disk store).
 - :meth:`ResultStore.iter_records` streams records in global key order
   holding at most one shard in memory; :meth:`records`,
   :meth:`distinct` and :meth:`verify` are built on the same lazy
@@ -515,11 +515,10 @@ class ResultStore:
         written atomically and the worker shards are removed. Sorting
         the shard lines — rather than concatenating in shard-file
         order — makes the output byte-identical under any permutation
-        of shard file names, which matters for the thread backend
-        whose ``w{pid}.t{tid}`` shard names vary run to run. Returns
-        the number of events in the compacted file (0 when there is
-        nothing to compact). A no-op when no worker shards exist, so
-        repeated saves leave a compacted trace untouched.
+        of shard file names, whose ``w{pid}`` parts vary run to run.
+        Returns the number of events in the compacted file (0 when
+        there is nothing to compact). A no-op when no worker shards
+        exist, so repeated saves leave a compacted trace untouched.
         """
         if self._path is None:
             return 0

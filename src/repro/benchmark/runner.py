@@ -59,7 +59,7 @@ from repro.cleaning.strategies import (
     outlier_detectors,
     outlier_repairs,
 )
-from repro.datasets import DatasetDefinition, load_dataset
+from repro.datasets import DatasetDefinition
 from repro.fairness.confusion import (
     GroupMasks,
     group_confusions_from_masks,
@@ -120,72 +120,19 @@ class _Version:
 
 
 class ExperimentRunner:
-    """Executes study configurations and fills a result store."""
+    """Evaluates the cells of one repetition into a result store.
+
+    This is the per-unit cell evaluator:
+    :func:`repro.benchmark.parallel.run_parallel_study` plans a study's
+    pending cells and drives every work unit through
+    :meth:`run_repetition_cells`.
+    """
 
     def __init__(self, config: StudyConfig, store: ResultStore) -> None:
         self.config = config
         self.store = store
 
     # -- public API ------------------------------------------------------
-
-    def run_dataset_error(
-        self,
-        dataset_name: str,
-        error_type: str,
-        models: tuple[str, ...] | None = None,
-        progress=None,
-    ) -> int:
-        """Run all configurations for one dataset and error type.
-
-        Skips (resumes past) runs already present in the store.
-        Returns the number of new records added. ``progress`` is an
-        optional callable receiving human-readable status lines.
-        """
-        definition, table = load_dataset(
-            dataset_name,
-            n_rows=self.config.dataset_size(dataset_name),
-            seed=self.config.generation_seed,
-        )
-        return self.run_definition(
-            definition, error_type, table=table, models=models, progress=progress
-        )
-
-    def run_definition(
-        self,
-        definition: DatasetDefinition,
-        error_type: str,
-        table: Table | None = None,
-        models: tuple[str, ...] | None = None,
-        progress=None,
-    ) -> int:
-        """Run all configurations for a (possibly custom) definition.
-
-        ``table`` defaults to generating the definition at the
-        configured size. Returns the number of new records added.
-        """
-        if error_type not in ERROR_TYPES:
-            raise ValueError(
-                f"unknown error type {error_type!r}; valid: {ERROR_TYPES}"
-            )
-        if error_type not in definition.error_types:
-            return 0
-        if table is None:
-            table = definition.generate(
-                n_rows=self.config.dataset_size(definition.name),
-                seed=self.config.generation_seed,
-            )
-        models = models or self.config.models
-        cells = [
-            (model_name, seed)
-            for model_name in models
-            for seed in range(self.config.n_tuning_seeds)
-        ]
-        added = 0
-        for repetition in range(self.config.n_repetitions):
-            added += self.run_repetition_cells(
-                definition, table, error_type, repetition, cells, progress=progress
-            )
-        return added
 
     def run_repetition_cells(
         self,
@@ -194,7 +141,6 @@ class ExperimentRunner:
         error_type: str,
         repetition: int,
         cells: "list[Cell] | tuple[Cell, ...]",
-        progress=None,
         cell_guard=None,
     ) -> int:
         """Run selected ``(model, tuning_seed)`` cells of one repetition.
@@ -256,7 +202,6 @@ class ExperimentRunner:
                             model_name,
                             repetition,
                             seed,
-                            progress,
                         )
                         cell_span.add("records", cell_added)
                         if scope is not None and scope.hits() > hits_before:
@@ -272,30 +217,6 @@ class ExperimentRunner:
                         seconds=cell_span.seconds if cell_span is not obs.NOOP_SPAN else 0.0,
                         **coords,
                     )
-        return added
-
-    def run_full_study(self, progress=None, workers: int | None = None) -> int:
-        """Run every dataset × error type combination.
-
-        ``workers`` overrides :attr:`StudyConfig.workers`; with more
-        than one worker the sharded parallel executor is used (the
-        result store it fills is byte-identical to a serial run).
-        """
-        from repro.datasets import DATASET_NAMES
-
-        workers = self.config.workers if workers is None else workers
-        if workers > 1:
-            from repro.benchmark.parallel import run_parallel_study
-
-            return run_parallel_study(
-                self.config, self.store, workers=workers, progress=progress
-            )
-        added = 0
-        for dataset_name in DATASET_NAMES:
-            for error_type in ERROR_TYPES:
-                added += self.run_dataset_error(
-                    dataset_name, error_type, progress=progress
-                )
         return added
 
     # -- version preparation ----------------------------------------------
@@ -626,7 +547,6 @@ class ExperimentRunner:
         model_name: str,
         repetition: int,
         seed: int,
-        progress,
     ) -> int:
         pending = [
             version
@@ -667,8 +587,6 @@ class ExperimentRunner:
             added += 1
             if obs.is_enabled():
                 self._emit_fairness(record)
-            if progress is not None:
-                progress(f"{record.key}: done")
         return added
 
     @staticmethod

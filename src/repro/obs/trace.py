@@ -16,8 +16,8 @@ The tracer is a process-global object emitting JSONL *events* to a
 
 Every span and point event additionally carries ``ts`` — the
 wall-clock epoch time at span *start* (event emission) — and ``w``,
-the emitting worker track (``w{pid}``, or ``w{pid}.t{tid}`` off the
-main thread, mirroring the executor's journal shard naming). The pair
+the emitting worker track (``w{pid}``, like the executor's journal
+shard naming, or ``w{pid}.t{tid}`` off the main thread). The pair
 is what turns post-hoc sidecars into a live telemetry plane: ``ts``
 anchors the Chrome-trace export (:mod:`repro.obs.export`) and the
 in-flight monitor's heartbeat-age stall detection
@@ -66,7 +66,8 @@ def track_id() -> str:
     """Worker track of the calling thread (``w{pid}[.t{tid}]``).
 
     Matches the executor's journal/trace shard naming: one track per
-    worker process, one per worker thread under the thread backend.
+    worker process. Events emitted off the main thread get their own
+    per-thread track.
     """
     thread = threading.current_thread()
     if thread is threading.main_thread():

@@ -26,6 +26,7 @@ from repro.benchmark import (
     StudyConfig,
     run_parallel_study,
 )
+from repro.datasets import load_dataset
 from repro.testing.faults import FaultPlan
 
 
@@ -68,7 +69,13 @@ def serial_baseline_fingerprint(
     error_types: Sequence[str],
     workdir: Path,
 ) -> dict[str, bytes]:
-    """Fingerprint of a serially-executed, compacted study store."""
+    """Fingerprint of a serially-executed, compacted study store.
+
+    An independent reference for the executor: a plain loop over
+    :meth:`ExperimentRunner.run_repetition_cells` for every repetition
+    and cell, into a plain store saved once — no planner, shard store,
+    journal or merge step of :func:`run_parallel_study` involved.
+    """
     key = (
         repr(config),
         tuple(datasets),
@@ -78,9 +85,22 @@ def serial_baseline_fingerprint(
         path = workdir / "serial-baseline.json"
         store = ResultStore(path)
         runner = ExperimentRunner(config, store)
+        cells = [
+            (model, seed)
+            for model in config.models
+            for seed in range(config.n_tuning_seeds)
+        ]
         for error_type in error_types:
             for dataset in datasets:
-                runner.run_dataset_error(dataset, error_type)
+                definition, table = load_dataset(
+                    dataset,
+                    n_rows=config.dataset_size(dataset),
+                    seed=config.generation_seed,
+                )
+                for repetition in range(config.n_repetitions):
+                    runner.run_repetition_cells(
+                        definition, table, error_type, repetition, cells
+                    )
         store.save()
         _BASELINE_CACHE[key] = store_fingerprint(path)
     return _BASELINE_CACHE[key]
@@ -135,7 +155,6 @@ class ChaosStudy:
         abort_after_units: int | None = None,
         save: bool = True,
         trace: bool = False,
-        backend: str = "process",
         transport: str = "auto",
     ) -> int:
         """One executor pass over the (possibly partially done) study.
@@ -143,12 +162,11 @@ class ChaosStudy:
         Uses zero backoff so retries don't slow the suite down; all
         other fault-tolerance behaviour is the production code path.
         ``trace`` turns on structured tracing, so tests can assert on
-        observed fault/retry events. ``backend``/``transport`` select
-        the execution backend and dataset transport under test.
+        observed fault/retry events. ``transport`` selects the dataset
+        transport under test; ``workers=1`` runs in-process.
         Returns the number of records added.
         """
         options = ExecutorOptions(
-            backend=backend,
             transport=transport,
             max_retries=max_retries,
             cell_timeout=cell_timeout,

@@ -10,7 +10,6 @@ import json
 import pytest
 
 from repro.benchmark import (
-    ExperimentRunner,
     ResultStore,
     RunRecord,
     StudyConfig,
@@ -39,8 +38,9 @@ def tiny_config(**overrides) -> StudyConfig:
 
 def run_serial(config, path, error_type, dataset="german"):
     store = ResultStore(path)
-    ExperimentRunner(config, store).run_dataset_error(dataset, error_type)
-    store.save()
+    run_parallel_study(
+        config, store, workers=1, datasets=(dataset,), error_types=(error_type,)
+    )
     return store
 
 
@@ -292,21 +292,31 @@ def test_parallel_resumes_partial_cell(tmp_path):
 # -- wiring -------------------------------------------------------------
 
 
-def test_run_full_study_delegates_to_parallel_executor(monkeypatch):
-    calls = {}
+def _closure_definition():
+    """German under a name the registry does not know, generated by a
+    closure (which no worker process could receive)."""
+    from dataclasses import replace
 
-    def fake_run_parallel_study(config, store, workers=None, progress=None):
-        calls["workers"] = workers
-        return 42
+    from repro.datasets import load_dataset
 
-    import repro.benchmark.parallel as parallel_module
+    german, table = load_dataset("german", n_rows=600, seed=0)
+    return replace(german, name="closure", generator=lambda n_rows, seed: table)
 
-    monkeypatch.setattr(
-        parallel_module, "run_parallel_study", fake_run_parallel_study
-    )
-    runner = ExperimentRunner(tiny_config(workers=3), ResultStore())
-    assert runner.run_full_study() == 42
-    assert calls["workers"] == 3
+
+def test_unregistered_definition_rejected_by_process_pool(tmp_path):
+    """A process-pool run refuses a custom definition before any work:
+    its generator may be a closure no worker process can receive."""
+    store = ResultStore(tmp_path / "study.json")
+    with pytest.raises(ValueError, match="unregistered"):
+        run_parallel_study(
+            tiny_config(),
+            store,
+            workers=2,
+            datasets=("german", _closure_definition()),
+            error_types=("mislabels",),
+        )
+    assert len(store) == 0
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_rejects_bad_workers():
@@ -364,19 +374,6 @@ def run_backend(tmp_path, backend, name, error_type="mislabels", **opt_overrides
     return tmp_path / f"{name}.json"
 
 
-def test_thread_backend_matches_serial_byte_identical(tmp_path):
-    config = tiny_config()
-    run_serial(config, tmp_path / "serial.json", "mislabels")
-    threaded = run_backend(tmp_path, "thread", "threaded")
-    assert threaded.read_bytes() == (tmp_path / "serial.json").read_bytes()
-    for shard in sorted((tmp_path / "serial.store").glob("*.jsonl.gz")):
-        assert (
-            tmp_path / "threaded.store" / shard.name
-        ).read_bytes() == shard.read_bytes()
-    # thread workers journal per thread; everything is compacted away
-    assert list(tmp_path.glob("*.jsonl")) == []
-
-
 def test_serial_backend_matches_process_pool(tmp_path):
     pooled = run_backend(tmp_path, "process", "pooled")
     serial = run_backend(tmp_path, "serial", "serialised")
@@ -394,8 +391,9 @@ def test_explicit_transports_are_byte_identical(tmp_path):
 
 
 def test_invalid_backend_and_transport_are_rejected():
-    from repro.benchmark import ExecutorOptions
+    from repro.benchmark import BACKENDS, ExecutorOptions
 
+    assert BACKENDS == ("process", "serial")
     with pytest.raises(ValueError, match="unknown backend"):
         ExecutorOptions(backend="fibers")
     with pytest.raises(ValueError, match="unknown transport"):

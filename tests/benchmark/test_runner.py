@@ -5,19 +5,31 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.benchmark import ExperimentRunner, ImpactAnalysis, ResultStore, StudyConfig
+from repro.benchmark import (
+    ImpactAnalysis,
+    ResultStore,
+    StudyConfig,
+    run_parallel_study,
+)
 from repro.benchmark.impact import fairness_value
 from repro.fairness.metrics import equal_opportunity
+
+
+def run_german(config, store, error_types, **kwargs):
+    return run_parallel_study(
+        config, store, datasets=("german",), error_types=error_types, **kwargs
+    )
 
 
 @pytest.fixture(scope="module")
 def german_store():
     store = ResultStore()
-    config = StudyConfig.smoke_scale()
-    runner = ExperimentRunner(config, store)
-    runner.run_dataset_error("german", "missing_values", models=("log_reg",))
-    runner.run_dataset_error("german", "outliers", models=("log_reg",))
-    runner.run_dataset_error("german", "mislabels", models=("log_reg",))
+    run_german(
+        StudyConfig.smoke_scale(),
+        store,
+        ("missing_values", "outliers", "mislabels"),
+        models=("log_reg",),
+    )
     return store
 
 
@@ -58,7 +70,7 @@ def test_grid_fast_path_study_records_byte_identical():
             grid_fast_path=grid_fast_path,
         )
         store = ResultStore()
-        ExperimentRunner(config, store).run_dataset_error("german", "mislabels")
+        run_german(config, store, ("mislabels",))
         return {record.key: record.metrics for record in store.records()}
 
     fast = run(True)
@@ -131,28 +143,36 @@ def test_impact_matrix_total_matches_configurations(german_store):
 
 
 def test_runner_resumes_without_duplicates(german_store):
-    config = StudyConfig.smoke_scale()
-    runner = ExperimentRunner(config, german_store)
-    added = runner.run_dataset_error("german", "missing_values", models=("log_reg",))
+    added = run_german(
+        StudyConfig.smoke_scale(),
+        german_store,
+        ("missing_values",),
+        models=("log_reg",),
+    )
     assert added == 0
 
 
 def test_runner_rejects_unknown_error_type():
-    runner = ExperimentRunner(StudyConfig.smoke_scale(), ResultStore())
     with pytest.raises(ValueError, match="error type"):
-        runner.run_dataset_error("german", "typos")
+        run_german(StudyConfig.smoke_scale(), ResultStore(), ("typos",))
 
 
 def test_heart_skips_missing_values():
-    runner = ExperimentRunner(StudyConfig.smoke_scale(), ResultStore())
-    assert runner.run_dataset_error("heart", "missing_values") == 0
+    added = run_parallel_study(
+        StudyConfig.smoke_scale(),
+        ResultStore(),
+        datasets=("heart",),
+        error_types=("missing_values",),
+    )
+    assert added == 0
 
 
 def test_runner_is_deterministic():
     def run():
         store = ResultStore()
-        runner = ExperimentRunner(StudyConfig.smoke_scale(), store)
-        runner.run_dataset_error("german", "mislabels", models=("log_reg",))
+        run_german(
+            StudyConfig.smoke_scale(), store, ("mislabels",), models=("log_reg",)
+        )
         return store
 
     a, b = run(), run()

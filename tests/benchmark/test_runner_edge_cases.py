@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.benchmark import ExperimentRunner, ResultStore, StudyConfig
+from repro.benchmark import ResultStore, StudyConfig, run_parallel_study
 from repro.benchmark.runner import _seed_for
 from repro.datasets import DatasetDefinition
 from repro.fairness.groups import Comparison, GroupPredicate
@@ -23,10 +23,20 @@ def make_definition(generator, error_types=("missing_values",)):
     )
 
 
-def make_runner(**config_overrides):
-    defaults = dict(n_sample=100, n_repetitions=1, dataset_sizes={"edge": 100})
-    defaults.update(config_overrides)
-    return ExperimentRunner(StudyConfig(**defaults), ResultStore())
+def run_custom(definition, error_type, store=None, n_sample=100, **kwargs):
+    """Run one custom definition in-process; returns records added."""
+    config = StudyConfig(
+        n_sample=n_sample,
+        n_repetitions=1,
+        dataset_sizes={"edge": n_sample},
+    )
+    return run_parallel_study(
+        config,
+        ResultStore() if store is None else store,
+        datasets=(definition,),
+        error_types=(error_type,),
+        **kwargs,
+    )
 
 
 def test_seed_for_is_deterministic_and_distinct():
@@ -46,9 +56,8 @@ def test_single_class_training_labels_are_skipped():
             }
         )
 
-    runner = make_runner()
     definition = make_definition(generator, error_types=("mislabels",))
-    assert runner.run_definition(definition, "mislabels", models=("log_reg",)) == 0
+    assert run_custom(definition, "mislabels", models=("log_reg",)) == 0
 
 
 def test_all_rows_missing_skips_missing_value_run():
@@ -62,9 +71,8 @@ def test_all_rows_missing_skips_missing_value_run():
             }
         )
 
-    runner = make_runner()
     definition = make_definition(generator)
-    assert runner.run_definition(definition, "missing_values") == 0
+    assert run_custom(definition, "missing_values") == 0
 
 
 def test_error_type_not_declared_returns_zero():
@@ -77,9 +85,8 @@ def test_error_type_not_declared_returns_zero():
             }
         )
 
-    runner = make_runner()
     definition = make_definition(generator, error_types=("missing_values",))
-    assert runner.run_definition(definition, "outliers") == 0
+    assert run_custom(definition, "outliers") == 0
 
 
 def test_clean_dataset_missing_value_repairs_are_noops_with_equal_scores():
@@ -93,12 +100,8 @@ def test_clean_dataset_missing_value_repairs_are_noops_with_equal_scores():
         return Table.from_columns({"x": x, "sex": list(sexes), "label": label})
 
     store = ResultStore()
-    runner = ExperimentRunner(
-        StudyConfig(n_sample=100, n_repetitions=1, dataset_sizes={"edge": 100}),
-        store,
-    )
     definition = make_definition(generator)
-    added = runner.run_definition(definition, "missing_values", models=("log_reg",))
+    added = run_custom(definition, "missing_values", store, models=("log_reg",))
     assert added == 6
     for record in store.records():
         assert record.metrics["dirty_test_acc"] == pytest.approx(
@@ -117,12 +120,10 @@ def test_mislabel_flip_changes_training_labels_only():
         return Table.from_columns({"x": x, "sex": list(sexes), "label": label})
 
     store = ResultStore()
-    runner = ExperimentRunner(
-        StudyConfig(n_sample=200, n_repetitions=1, dataset_sizes={"edge": 200}),
-        store,
-    )
     definition = make_definition(generator, error_types=("mislabels",))
-    added = runner.run_definition(definition, "mislabels", models=("log_reg",))
+    added = run_custom(
+        definition, "mislabels", store, n_sample=200, models=("log_reg",)
+    )
     assert added == 1
     record = next(store.records())
     dirty_total = sum(

@@ -55,28 +55,6 @@ def test_crash_recovers_in_process_executor(chaos_study, kind):
     chaos_study.assert_converged()
 
 
-@pytest.mark.parametrize("kind", ("crash_post_append", "transient_error"))
-def test_thread_backend_recovers_byte_identical(chaos_study, kind):
-    """The thread backend heals faults exactly like the process pool —
-    including journal replay from per-thread shards."""
-    added = chaos_study.run(plan=plan_for(kind), workers=2, backend="thread")
-    assert added == 2
-    chaos_study.assert_converged()
-
-
-def test_thread_backend_slow_cell_trips_monotonic_fallback(chaos_study):
-    """Off the main thread the deadline check is post-hoc, but an
-    injected slow cell still fails, retries and converges."""
-    added = chaos_study.run(
-        plan=plan_for("slow_cell"),
-        workers=2,
-        backend="thread",
-        cell_timeout=CELL_TIMEOUT,
-    )
-    assert added == 2
-    chaos_study.assert_converged()
-
-
 def test_parent_kill_then_resume_converges(chaos_study):
     """A simulated parent kill leaves journal shards; a resume run
     recovers them without recomputation and converges."""

@@ -13,12 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.benchmark import (
-    ExecutorOptions,
-    ExperimentRunner,
-    ResultStore,
-    run_parallel_study,
-)
+from repro.benchmark import ExecutorOptions, ResultStore, run_parallel_study
 from repro.testing.fixtures import (
     chaos_config,
     serial_baseline_fingerprint,
@@ -33,16 +28,16 @@ def assert_cells_identical(tmp_path):
     Parameters mirror the study surface: pass a full ``config`` (its
     ``incremental`` flag is overridden on each side) or keyword
     overrides for :func:`repro.testing.fixtures.chaos_config`;
-    ``backend`` selects the in-process runner (``"runner"``) or an
-    executor backend (``"serial"``/``"thread"``/``"process"``), with
-    ``transport`` applying to the process pool. Returns the matching
-    fingerprint so callers can chain further comparisons.
+    ``backend`` selects the executor backend (``"serial"`` or
+    ``"process"``), with ``transport`` applying to the process pool.
+    Returns the matching fingerprint so callers can chain further
+    comparisons.
     """
 
     def check(
         config=None,
         *,
-        backend="runner",
+        backend="serial",
         transport="auto",
         workers=2,
         datasets=("german",),
@@ -55,21 +50,14 @@ def assert_cells_identical(tmp_path):
         baseline = serial_baseline_fingerprint(cold, datasets, error_types, tmp_path)
         path = tmp_path / f"incremental-{backend}-{transport}.json"
         store = ResultStore(path)
-        if backend == "runner":
-            runner = ExperimentRunner(warm, store)
-            for error_type in error_types:
-                for dataset in datasets:
-                    runner.run_dataset_error(dataset, error_type)
-            store.save()
-        else:
-            run_parallel_study(
-                warm,
-                store,
-                workers=workers,
-                datasets=datasets,
-                error_types=error_types,
-                options=ExecutorOptions(backend=backend, transport=transport),
-            )
+        run_parallel_study(
+            warm,
+            store,
+            workers=workers,
+            datasets=datasets,
+            error_types=error_types,
+            options=ExecutorOptions(backend=backend, transport=transport),
+        )
         actual = store_fingerprint(path)
         assert actual.keys() == baseline.keys(), (
             f"{backend}/{transport}: shard layout diverged from cold baseline: "

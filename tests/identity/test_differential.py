@@ -19,13 +19,11 @@ from repro.testing.fixtures import chaos_config
 
 ERROR_TYPES = ("missing_values", "outliers", "mislabels")
 
-#: (backend, transport): the runner loop, the three executor backends,
-#: and both process-pool dataset transports. Transport only crosses a
-#: process boundary, so non-process backends pin it to "auto".
+#: (backend, transport): the serial executor backend and both
+#: process-pool dataset transports. Transport only crosses a process
+#: boundary, so the serial backend pins it to "auto".
 BACKEND_MATRIX = [
-    ("runner", "auto"),
     ("serial", "auto"),
-    ("thread", "auto"),
     ("process", "pickle"),
     pytest.param(
         "process",
@@ -39,7 +37,7 @@ BACKEND_MATRIX = [
 
 
 def test_incremental_smoke_byte_identical(assert_cells_identical):
-    """Tier-1 smoke: one config, serial runner, store bytes identical."""
+    """Tier-1 smoke: one config, serial backend, store bytes identical."""
     assert_cells_identical()
 
 

@@ -8,24 +8,34 @@ tie-breaks, or shard layout — even one that is internally consistent —
 fails loudly. Regenerate the fixture only for an *intentional* output
 change, by running the snippet in ``tests/identity/golden/``'s history:
 one ``chaos_config()`` german/mislabels slice saved via
-``ResultStore``.
+``ResultStore``. Every test here drives the study through
+:func:`run_parallel_study` with one worker, the path ``repro study``
+takes by default.
 """
 
 from pathlib import Path
 
 from repro import obs
-from repro.benchmark import ExperimentRunner, ResultStore
-from repro.obs import profile_memory
+from repro.benchmark import ExecutorOptions, ResultStore, run_parallel_study
 from repro.testing.fixtures import chaos_config, store_fingerprint
 
 GOLDEN = Path(__file__).parent / "golden" / "study.json"
 
 
+def run_golden_slice(store, **options):
+    run_parallel_study(
+        chaos_config(),
+        store,
+        workers=1,
+        datasets=("german",),
+        error_types=("mislabels",),
+        options=ExecutorOptions(**options),
+    )
+
+
 def test_store_bytes_match_pre_encoding_golden(tmp_path):
     store = ResultStore(tmp_path / "study.json")
-    runner = ExperimentRunner(chaos_config(), store)
-    runner.run_dataset_error("german", "mislabels")
-    store.save()
+    run_golden_slice(store)
 
     actual = store_fingerprint(tmp_path / "study.json")
     golden = store_fingerprint(GOLDEN)
@@ -51,12 +61,7 @@ def test_store_bytes_match_golden_with_full_telemetry(tmp_path):
     """
     store_path = tmp_path / "study.json"
     store = ResultStore(store_path)
-    runner = ExperimentRunner(chaos_config(), store)
-    with obs.scoped(tmp_path / "study.trace.jsonl"):
-        with profile_memory():
-            obs.heartbeat(phase="unit_start", n_cells=0)  # explicit beat too
-            runner.run_dataset_error("german", "mislabels")
-        store.save()
+    run_golden_slice(store, trace=True, profile_memory=True)
 
     trace_path = tmp_path / "study.trace.jsonl"
     assert trace_path.exists() and trace_path.stat().st_size > 0
@@ -87,15 +92,11 @@ def test_store_bytes_match_golden_with_fairness_telemetry_and_ledger(tmp_path):
     fairness telemetry lives in trace sidecars and the ledger only.
     A second audit of the identical bytes must also diff clean.
     """
-    from repro.obs import build_audit, diff_audits, record_run
+    from repro.obs import build_audit, diff_audits
 
     store_path = tmp_path / "study.json"
     store = ResultStore(store_path)
-    runner = ExperimentRunner(chaos_config(), store)
-    with obs.scoped(tmp_path / "study.trace.jsonl"):
-        runner.run_dataset_error("german", "mislabels")
-        store.save()
-    record_run(store, config=chaos_config())
+    run_golden_slice(store, trace=True, ledger=True)
 
     events = obs.read_trace_events([tmp_path / "study.trace.jsonl"])
     fairness_events = [e for e in events if e.get("name") == "fairness"]

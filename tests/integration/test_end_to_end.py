@@ -12,11 +12,11 @@ import pytest
 from repro import (
     DeepDive,
     DisparityAnalysis,
-    ExperimentRunner,
     FairnessAwareSelector,
     ImpactAnalysis,
     StudyConfig,
     dataset_definition,
+    run_parallel_study,
 )
 from repro.benchmark import ResultStore
 from repro.reporting import (
@@ -31,22 +31,25 @@ from repro.reporting import (
 def study(tmp_path_factory):
     path = tmp_path_factory.mktemp("store") / "study.json"
     store = ResultStore(path)
-    config = StudyConfig.smoke_scale()
-    runner = ExperimentRunner(config, store)
-    runner.run_dataset_error("german", "missing_values", models=("log_reg",))
-    runner.run_dataset_error("german", "mislabels", models=("log_reg",))
-    store.save()
+    run_german(store, ("missing_values", "mislabels"))
     return path, store
+
+
+def run_german(store, error_types):
+    return run_parallel_study(
+        StudyConfig.smoke_scale(),
+        store,
+        datasets=("german",),
+        error_types=error_types,
+        models=("log_reg",),
+    )
 
 
 def test_store_resume_after_reload(study):
     path, store = study
     reloaded = ResultStore(path)
     assert len(reloaded) == len(store)
-    runner = ExperimentRunner(StudyConfig.smoke_scale(), reloaded)
-    assert (
-        runner.run_dataset_error("german", "missing_values", models=("log_reg",)) == 0
-    )
+    assert run_german(reloaded, ("missing_values",)) == 0
 
 
 def test_impact_analysis_from_reloaded_store(study):
@@ -145,11 +148,7 @@ def test_missing_value_records_keep_test_size_constant(study):
 def test_two_identical_studies_produce_identical_metrics(tmp_path):
     def run(path):
         store = ResultStore(path)
-        config = StudyConfig.smoke_scale()
-        ExperimentRunner(config, store).run_dataset_error(
-            "german", "mislabels", models=("log_reg",)
-        )
-        store.save()
+        run_german(store, ("mislabels",))
         return store
 
     a = run(tmp_path / "a.json")

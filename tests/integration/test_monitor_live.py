@@ -4,48 +4,65 @@ The acceptance contract of the telemetry pipeline: ``repro monitor``
 observes a *running* executor — not a finished store — purely from its
 trace sidecars, and its progress, throughput, ETA and heartbeat fields
 converge to the planned cell count by the time the run completes.
-The study runs on the thread backend so the monitor polls the very
-same files the live workers are appending to.
+The study runs on a two-worker process pool in a separate interpreter
+(so the pool never forks a threaded process), while the test polls
+the very same trace shards the live worker processes are appending to.
 """
 
-import threading
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
-from repro.benchmark import ExecutorOptions, ResultStore, run_parallel_study
+import repro
+from repro.benchmark import ResultStore
 from repro.obs import scan_run
-from repro.testing.fixtures import chaos_config
+
+STUDY = textwrap.dedent(
+    """
+    import sys
+
+    from repro.benchmark import ExecutorOptions, ResultStore, run_parallel_study
+    from repro.testing.fixtures import chaos_config
+
+    run_parallel_study(
+        chaos_config(),
+        ResultStore(sys.argv[1]),
+        workers=2,
+        datasets=("german",),
+        error_types=("mislabels",),
+        options=ExecutorOptions(backend="process", trace=True),
+    )
+    """
+)
 
 
 def test_monitor_converges_on_inflight_study(tmp_path):
-    config = chaos_config()
     store_path = tmp_path / "study.json"
-    store = ResultStore(store_path)
-    failures = []
-
-    def run_study():
-        try:
-            run_parallel_study(
-                config,
-                store,
-                workers=2,
-                datasets=("german",),
-                error_types=("mislabels",),
-                options=ExecutorOptions(backend="thread", trace=True),
-            )
-        except BaseException as error:  # surfaced after join
-            failures.append(error)
-
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path
+    )
+    study = subprocess.Popen(
+        [sys.executable, "-c", STUDY, str(store_path)],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
     snapshots = []
-    study_thread = threading.Thread(target=run_study)
-    study_thread.start()
+    deadline = time.monotonic() + 120
     try:
-        while study_thread.is_alive():
+        while study.poll() is None and time.monotonic() < deadline:
             snapshots.append(scan_run(store_path))
             time.sleep(0.05)
     finally:
-        study_thread.join(timeout=120)
-    assert not study_thread.is_alive(), "study did not finish"
-    assert not failures, failures
+        if study.poll() is None:
+            study.kill()
+        _out, stderr = study.communicate(timeout=30)
+    assert study.returncode == 0, f"study failed or did not finish: {stderr}"
 
     # -- mid-flight observations ---------------------------------------
     # progress counters never regress while the run is live
@@ -68,7 +85,7 @@ def test_monitor_converges_on_inflight_study(tmp_path):
     assert final.cells_done == final.planned_cells
     assert final.cells_started == final.planned_cells
     assert final.units_merged == final.planned_units
-    assert final.backend == "thread"
+    assert final.backend == "process"
     assert final.workers_planned == 2
     assert final.eta_seconds is None
     assert final.retries == 0 and final.poisoned_units == 0
@@ -85,6 +102,7 @@ def test_monitor_converges_on_inflight_study(tmp_path):
         assert key[:2] == ("german", "mislabels")
 
     # the scan stays valid after save() compacts the shards
+    store = ResultStore(store_path)
     store.save()
     compacted = scan_run(store_path)
     assert compacted.complete

@@ -2,15 +2,20 @@
 
 import pytest
 
-from repro.benchmark import ExperimentRunner, ResultStore, StudyConfig
+from repro.benchmark import ResultStore, StudyConfig, run_parallel_study
 from repro.reporting import build_study_report
 
 
 @pytest.fixture(scope="module")
 def mini_store():
     store = ResultStore()
-    runner = ExperimentRunner(StudyConfig.smoke_scale(), store)
-    runner.run_dataset_error("german", "missing_values", models=("log_reg",))
+    run_parallel_study(
+        StudyConfig.smoke_scale(),
+        store,
+        datasets=("german",),
+        error_types=("missing_values",),
+        models=("log_reg",),
+    )
     return store
 
 

@@ -46,7 +46,7 @@ def test_study_and_tables_roundtrip(tmp_path, capsys):
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "german/mislabels: +" in out
+    assert "german/mislabels/rep0: +" in out
 
     assert main(["tables", "--store", store_path]) == 0
     out = capsys.readouterr().out
@@ -253,7 +253,6 @@ def test_study_with_hardening_flags(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag,value",
     [
-        ("--backend", "fibers"),
         ("--transport", "carrier-pigeon"),
     ],
 )
@@ -265,12 +264,15 @@ def test_study_rejects_unknown_backend_and_transport(capsys, flag, value):
 
 
 def test_study_backend_and_transport_defaults():
+    """``--workers`` alone picks where units run (1 = in-process)."""
     args = build_parser().parse_args(["study", "--store", "s.json"])
-    assert args.backend == "process"
+    assert not hasattr(args, "backend")
+    assert args.workers == 1
     assert args.transport == "auto"
 
 
 def test_study_serial_backend_runs_study(tmp_path, capsys):
+    """The serial path is ``--workers 1``: units run in-process."""
     store = tmp_path / "study.json"
     code = main(
         [
@@ -285,13 +287,51 @@ def test_study_serial_backend_runs_study(tmp_path, capsys):
             "120",
             "--repetitions",
             "1",
-            "--backend",
-            "serial",
+            "--workers",
+            "1",
         ]
     )
     assert code == 0
-    assert "added" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "for 1 worker(s)" in out and "added" in out
     assert store.exists()
+
+
+def test_study_exits_1_when_units_are_poisoned(tmp_path, capsys, monkeypatch):
+    """A run that poisons a unit names the count and the failures
+    sidecar, and exits 1 instead of reporting success."""
+    import repro.benchmark.parallel as parallel
+
+    def crash(task):
+        raise RuntimeError("injected unit failure")
+
+    monkeypatch.setattr(parallel, "_run_unit_traced", crash)
+    store = tmp_path / "study.json"
+    code = main(
+        [
+            "study",
+            "--store",
+            str(store),
+            "--dataset",
+            "german",
+            "--error-type",
+            "mislabels",
+            "--n-sample",
+            "120",
+            "--repetitions",
+            "2",
+            "--models",
+            "log_reg",
+            "--max-retries",
+            "0",
+        ]
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    sidecar = tmp_path / "study.failures.jsonl"
+    assert "added 0 records" in out
+    assert f"poisoned 2 work unit(s); see {sidecar}" in out
+    assert len(sidecar.read_text().splitlines()) == 2
 
 
 def test_store_migrate_requires_store_argument(capsys):
