@@ -492,12 +492,13 @@ def _pool_context():
         return get_context("spawn")
 
 
-#: Thread-count setters an OpenBLAS build may export: the plain
-#: library, scipy's bundled build and numpy's 64-bit-integer build.
-_OPENBLAS_SETTERS = (
-    "openblas_set_num_threads",
-    "scipy_openblas_set_num_threads",
-    "scipy_openblas_set_num_threads64_",
+#: (getter, setter) thread-count functions an OpenBLAS build may
+#: export: the plain library, scipy's bundled build and numpy's
+#: 64-bit-integer build.
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
 )
 
 
@@ -525,20 +526,36 @@ def _loaded_openblas() -> list[ctypes.CDLL]:
     return libraries
 
 
+def _set_blas_threads(threads: int | Sequence[int]) -> list[int]:
+    """Set the thread count of every loaded OpenBLAS; return the old ones.
+
+    ``threads`` is one count for every library, or one count per
+    library in the order this function returns them, which restores
+    an earlier state. Does nothing where no OpenBLAS is found.
+    """
+    controls = []
+    for library in _loaded_openblas():
+        for getter, setter in _OPENBLAS_THREAD_FUNCTIONS:
+            if getattr(library, setter, None) is not None:
+                controls.append((getattr(library, getter), getattr(library, setter)))
+                break
+    counts = [threads] * len(controls) if isinstance(threads, int) else threads
+    previous = [get() for get, __ in controls]
+    for (__, set_threads), count in zip(controls, counts):
+        set_threads(count)
+    return previous
+
+
 def _single_blas_thread() -> None:
     """Pool initializer: run every loaded OpenBLAS on one thread.
 
     Each bundled OpenBLAS defaults to one thread per CPU, so a pool of
     process workers would otherwise oversubscribe the CPUs many times
-    over on the study's small matrices. Records do not depend on the
-    thread count. Does nothing where no OpenBLAS is found.
+    over on the study's small matrices. In-process runs take the same
+    cap for their duration (see :func:`run_parallel_study`). Records
+    do not depend on the thread count.
     """
-    for library in _loaded_openblas():
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(library, name, None)
-            if setter is not None:
-                setter(1)
-                break
+    _set_blas_threads(1)
 
 
 #: Per-process cache of generated datasets, keyed by
@@ -731,12 +748,17 @@ def run_parallel_study(
     Plans pending work units against ``store`` (so completed runs —
     including records recovered from journal shards of a killed run —
     are never recomputed), executes them on a ``multiprocessing``
-    pool of ``workers`` processes (in-process when ``workers``
-    is 1 or only one unit is pending), merges the results into
-    ``store`` and, when ``save`` is true and the store has a backing
-    path, compacts everything into its JSON file. Returns the number
-    of new records added (including records recovered from the journal
-    shards of failed attempts).
+    pool of ``workers`` processes (in-process when ``workers`` is 1,
+    the backend is ``serial`` or only one unit is pending), merges the
+    results into ``store`` and, when ``save`` is true and the store
+    has a backing path, compacts everything into its JSON file.
+    Returns the number of new records added (including records
+    recovered from the journal shards of failed attempts).
+
+    Units run with every loaded OpenBLAS capped at one thread: pool
+    workers through their initializer, in-process units for the
+    duration of the run, after which the caller's thread counts are
+    put back, whether the run returns or raises.
 
     ``datasets`` takes registered names and :class:`DatasetDefinition`
     objects alike. A definition the registry does not hold (such as a
@@ -988,7 +1010,11 @@ def run_parallel_study(
             # denominator and must be visible before any unit finishes
             obs.flush()
             if in_process:
-                run_rounds(lambda tasks: map(_execute_unit, tasks))
+                caller_threads = _set_blas_threads(1)
+                try:
+                    run_rounds(lambda tasks: map(_execute_unit, tasks))
+                finally:
+                    _set_blas_threads(caller_threads)
             else:
                 context = _pool_context()
                 with context.Pool(

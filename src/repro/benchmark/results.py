@@ -723,8 +723,11 @@ class ResultStore:
         crash at any point mid-compaction therefore leaves either the
         old or the new store intact, never a partial one, and never
         drops a journaled record. Groups without new records keep
-        their existing shard files untouched, so an incremental save
-        costs O(changed records), not O(store).
+        their existing shard files untouched, but a group with even
+        one new record is re-read, merged and rewritten whole, so a
+        save costs O(records in the touched ``(dataset, error_type)``
+        groups), not O(new records). A study pass that adds a
+        repetition touches every group it runs.
 
         A legacy monolithic store is migrated to the sharded layout by
         its first save (the manifest replaces the old file in the same

@@ -10,16 +10,21 @@ import json
 import pytest
 
 from repro.benchmark import (
+    ExecutorOptions,
     ResultStore,
     RunRecord,
+    StudyAborted,
     StudyConfig,
     WorkUnit,
     plan_work_units,
     run_parallel_study,
 )
+from repro.benchmark import parallel
 from repro.benchmark.parallel import (
+    _OPENBLAS_THREAD_FUNCTIONS,
     _loaded_openblas,
     _pool_context,
+    _set_blas_threads,
     _single_blas_thread,
     expected_cell_keys,
 )
@@ -451,22 +456,15 @@ def test_cell_deadline_on_main_thread_does_not_count_fallback(tmp_path):
     )
 
 
-# -- worker thread budget -----------------------------------------------
-
-_OPENBLAS_GETTERS = (
-    "openblas_get_num_threads",
-    "scipy_openblas_get_num_threads",
-    "scipy_openblas_get_num_threads64_",
-)
+# -- BLAS thread budget -------------------------------------------------
 
 
 def _blas_thread_counts():
     counts = []
     for library in _loaded_openblas():
-        for name in _OPENBLAS_GETTERS:
-            getter = getattr(library, name, None)
-            if getter is not None:
-                counts.append(getter())
+        for getter, setter in _OPENBLAS_THREAD_FUNCTIONS:
+            if getattr(library, setter, None) is not None:
+                counts.append(getattr(library, getter)())
                 break
     return counts
 
@@ -484,3 +482,50 @@ def test_pool_workers_run_one_blas_thread():
         pytest.skip("no OpenBLAS library loaded")
     assert _worker_blas_thread_counts() == [1] * len(parent_counts)
     assert _blas_thread_counts() == parent_counts
+
+
+@pytest.mark.parametrize("outcome", ["complete", "abort", "poison"])
+def test_in_process_run_caps_blas_threads_and_restores_them(
+    tmp_path, monkeypatch, outcome
+):
+    """Units see one thread per OpenBLAS; the caller gets its own counts
+    back whether the run completes, aborts or poisons a unit."""
+    execute_unit = parallel._execute_unit
+    seen = []
+
+    def observed_execute_unit(task):
+        seen.append(_blas_thread_counts())
+        if outcome == "poison":
+            return task[1], [], "RuntimeError: injected"
+        return execute_unit(task)
+
+    monkeypatch.setattr(parallel, "_execute_unit", observed_execute_unit)
+    original = _set_blas_threads(2)
+    try:
+        if not original:
+            pytest.skip("no OpenBLAS library loaded")
+        options = ExecutorOptions(
+            max_retries=0, abort_after_units=1 if outcome == "abort" else None
+        )
+        store = ResultStore(tmp_path / "store.json")
+
+        def run():
+            return run_parallel_study(
+                tiny_config(n_repetitions=1),
+                store,
+                workers=1,
+                datasets=("german",),
+                error_types=("mislabels",),
+                options=options,
+            )
+
+        if outcome == "abort":
+            with pytest.raises(StudyAborted):
+                run()
+        else:
+            assert run() == (0 if outcome == "poison" else 1)
+        assert store.failures_path.exists() == (outcome == "poison")
+        assert seen == [[1] * len(original)]
+        assert _blas_thread_counts() == [2] * len(original)
+    finally:
+        _set_blas_threads(original)

@@ -3,17 +3,20 @@
 The logistic objective, its L-BFGS-B driver and the sigmoid are written
 for few Python-level calls. Each must still compute exactly what the
 plain form below computes, solved by ``scipy.optimize.minimize``: same
-bits, not merely close.
+bits, not merely close. The logistic and kNN kernels must also give the
+same bits whatever number of threads OpenBLAS runs.
 """
 
 import numpy as np
 from scipy import optimize
 
 from repro.benchmark.models import model_search
-from repro.ml import LogisticRegressionClassifier
+from repro.benchmark.parallel import _set_blas_threads
+from repro.ml import KNearestNeighborsClassifier, LogisticRegressionClassifier
 from repro.ml.logistic import _sigmoid
 
 STUDY_C_GRID = model_search("log_reg", tuning_seed=0).param_grid["C"]
+STUDY_K_GRID = model_search("knn", tuning_seed=0).param_grid["n_neighbors"]
 
 
 def reference_sigmoid(z):
@@ -163,3 +166,51 @@ def test_logistic_warm_path_equals_reference_on_study_shaped_inputs():
             theta = LogisticRegressionClassifier(C=C)._solve(X, y_float, theta)
             expected = reference_solve(X, y_float, expected.copy(), C)
             assert theta.tobytes() == expected.tobytes(), C
+
+
+def at_blas_threads(threads, compute):
+    """``compute()`` with every loaded OpenBLAS on ``threads`` threads."""
+    original = _set_blas_threads(threads)
+    try:
+        return compute()
+    finally:
+        _set_blas_threads(original)
+
+
+def test_kernels_identical_at_one_and_two_blas_threads():
+    """Predictions and logistic solutions must not depend on the BLAS
+    thread count.
+
+    The kNN distances themselves may: with two threads OpenBLAS's
+    product can differ in the last bit in the final few training
+    columns, on the rows where the threads' row blocks meet. Study
+    processes therefore run one thread on every path; what is pinned
+    here is that such a difference does not reach the outputs.
+    """
+    rng = np.random.default_rng(5)
+    problems = [study_shaped_problem(rng) for __ in range(2)]
+    knn_candidates = [{"n_neighbors": k} for k in STUDY_K_GRID]
+    logistic_candidates = [{"C": C} for C in STUDY_C_GRID]
+
+    def kernel_bytes():
+        out = []
+        for X, y in problems:
+            n_train = 2 * X.shape[0] // 3
+            split = (X[:n_train], y[:n_train], X[n_train:], y[n_train:])
+            X_train, y_train, X_test, __ = split
+            knn = KNearestNeighborsClassifier(n_neighbors=15).fit(X_train, y_train)
+            logistic = LogisticRegressionClassifier().fit(X_train, y_train)
+            knn_grid = KNearestNeighborsClassifier().score_grid(*split, knn_candidates)
+            logistic_grid = LogisticRegressionClassifier().score_grid(
+                *split, logistic_candidates
+            )
+            out += [
+                knn.predict_proba(X_test).tobytes(),
+                knn_grid.tobytes(),
+                logistic.coef_.tobytes(),
+                logistic.intercept_,
+                logistic_grid.tobytes(),
+            ]
+        return out
+
+    assert at_blas_threads(1, kernel_bytes) == at_blas_threads(2, kernel_bytes)
