@@ -92,6 +92,7 @@ from repro.datasets import (
     dataset_definition,
     load_dataset,
 )
+from repro.ml import incremental
 
 #: (detection, repair) pairs the runner produces per error type, in
 #: registry order. Used to derive the expected record keys of a cell
@@ -194,20 +195,26 @@ def plan_work_units(
     objects (default: every registered dataset). A cell is pending
     when any of its expected record keys is missing from ``store``;
     error types a dataset does not support are skipped entirely.
+
+    Units come in ``(dataset, repetition, error_type)`` order, so the
+    error-type units of one repetition are adjacent: a process running
+    them in turn keeps that repetition's tuned-model results (see
+    :func:`repro.ml.incremental.repetition_results`) for all of them.
     """
     error_types = tuple(error_types) if error_types is not None else ERROR_TYPES
+    for error_type in error_types:
+        if error_type not in ERROR_TYPES:
+            raise ValueError(
+                f"unknown error type {error_type!r}; valid: {ERROR_TYPES}"
+            )
     models = tuple(models) if models is not None else config.models
     units: list[WorkUnit] = []
     for definition in _definitions(datasets):
         dataset = definition.name
-        for error_type in error_types:
-            if error_type not in ERROR_TYPES:
-                raise ValueError(
-                    f"unknown error type {error_type!r}; valid: {ERROR_TYPES}"
-                )
-            if error_type not in definition.error_types:
-                continue
-            for repetition in range(config.n_repetitions):
+        for repetition in range(config.n_repetitions):
+            for error_type in error_types:
+                if error_type not in definition.error_types:
+                    continue
                 pending: list[Cell] = []
                 done: list[str] = []
                 for model in models:
@@ -1015,6 +1022,7 @@ def run_parallel_study(
                     run_rounds(lambda tasks: map(_execute_unit, tasks))
                 finally:
                     _set_blas_threads(caller_threads)
+                    incremental.drop_repetition_results()
             else:
                 context = _pool_context()
                 with context.Pool(

@@ -175,7 +175,13 @@ class ExperimentRunner:
             if versions is None:
                 return 0
             dirty, repaired_versions = versions
-            scope = incremental.ReuseScope() if self.config.incremental else None
+            scope = (
+                incremental.ReuseScope(
+                    incremental.repetition_results((definition.name, repetition))
+                )
+                if self.config.incremental
+                else None
+            )
             scope_guard = (
                 incremental.reuse_scope(scope) if scope is not None else nullcontext()
             )
@@ -498,7 +504,10 @@ class ExperimentRunner:
         technique: str,
     ) -> dict[str, object]:
         X_train, X_test = self._features_for(definition, version)
+        train_labels = version.train_labels
         seed = _seed_for("tune", model_name, tuning_seed)
+        extra = (model_name, seed, self.config.n_cv_folds, self.config.grid_fast_path)
+        scope = incremental.active()
 
         def tune_and_predict() -> tuple[dict, float, np.ndarray]:
             search = model_search(
@@ -507,20 +516,34 @@ class ExperimentRunner:
                 tuning_seed=seed,
                 fast_path=self.config.grid_fast_path,
             )
-            search.fit(X_train, version.train_labels)
+            if scope is None:
+                search.fit(X_train, train_labels)
+            else:
+
+                def tune() -> tuple[dict, float]:
+                    search.fit(X_train, train_labels)
+                    return dict(search.best_params_), float(search.best_score_)
+
+                # the search is deterministic in its seed and its training
+                # bytes: a training set that another version, or a sibling
+                # unit of the repetition, already tuned refits only the
+                # best candidate
+                best = scope.memo("model_tune", (X_train, train_labels), extra, tune)
+                if search.best_estimator_ is None:
+                    search.refit(X_train, train_labels, *best)
             with obs.span("score", model=model_name, technique=technique):
                 predictions = search.predict(X_test)
             return dict(search.best_params_), float(search.best_score_), predictions
 
-        scope = incremental.active()
         if scope is not None:
             # the whole tuned evaluation is deterministic in its seed and
             # its input bytes: a repair that turns out to be a no-op (or
-            # to coincide with an earlier version) reuses everything
+            # to coincide with an earlier version or a sibling unit's
+            # dirty version) reuses everything
             best_params, val_acc, predictions = scope.memo(
                 "model_eval",
-                (X_train, version.train_labels, X_test, version.test_labels),
-                (model_name, seed, self.config.n_cv_folds, self.config.grid_fast_path),
+                (X_train, train_labels, X_test, version.test_labels),
+                extra,
                 tune_and_predict,
             )
         else:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.fairness.groups import GroupSpec, IntersectionalSpec
-from repro.ml.metrics import ConfusionMatrix
+from repro.ml.metrics import ConfusionMatrix, _validate
 from repro.tabular import Table
 
 #: Masks for one group pair: (key, privileged mask, disadvantaged mask).
@@ -54,16 +54,7 @@ def confusion_codes(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
     negative and ``3`` a true positive. Validates that both arrays are
     0/1 and share a shape.
     """
-    y_true = np.asarray(y_true).astype(np.int64)
-    y_pred = np.asarray(y_pred).astype(np.int64)
-    if y_true.shape != y_pred.shape:
-        raise ValueError(
-            f"shape mismatch: y_true {y_true.shape} vs y_pred {y_pred.shape}"
-        )
-    for name, arr in (("y_true", y_true), ("y_pred", y_pred)):
-        bad = np.setdiff1d(np.unique(arr), (0, 1))
-        if bad.size:
-            raise ValueError(f"{name} must be 0/1, found {bad}")
+    y_true, y_pred = _validate(y_true, y_pred)
     return 2 * y_true + y_pred
 
 

@@ -9,6 +9,7 @@ constructor parameters.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from typing import Any, TypeVar
 
@@ -17,19 +18,25 @@ import numpy as np
 EstimatorT = TypeVar("EstimatorT", bound="BaseEstimator")
 
 
+@functools.cache
+def _init_param_names(cls: type) -> tuple[str, ...]:
+    """Keyword parameter names of ``cls.__init__``, once per class."""
+    signature = inspect.signature(cls.__init__)
+    return tuple(
+        name
+        for name, parameter in signature.parameters.items()
+        if name != "self"
+        and parameter.kind
+        not in (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+    )
+
+
 class BaseEstimator:
     """Shared parameter plumbing for all estimators."""
 
     @classmethod
     def _param_names(cls) -> tuple[str, ...]:
-        signature = inspect.signature(cls.__init__)
-        return tuple(
-            name
-            for name, parameter in signature.parameters.items()
-            if name != "self"
-            and parameter.kind
-            not in (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
-        )
+        return _init_param_names(cls)
 
     def get_params(self) -> dict[str, Any]:
         """Return the constructor hyperparameters of this estimator."""
@@ -37,7 +44,7 @@ class BaseEstimator:
 
     def set_params(self: EstimatorT, **params: Any) -> EstimatorT:
         """Set hyperparameters in place; unknown names raise."""
-        valid = set(self._param_names())
+        valid = self._param_names()
         for name, value in params.items():
             if name not in valid:
                 raise ValueError(

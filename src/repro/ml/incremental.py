@@ -9,13 +9,14 @@ ever changing a result byte:
 - :func:`table_delta` / :class:`VersionDelta` — the row-delta manifest:
   which rows and columns of a child version's train/test tables (and
   which train labels) differ from an aligned parent version.
-- :class:`ReuseScope` — a content-addressed memo store scoped to one
-  repetition. Estimators consult the active scope (a thread-local set
-  by ``runner.run_repetition_cells``) for cached pure-function results
-  keyed by the *bytes* of their inputs: booster presort orders and
-  whole tuned-model evaluations. The scope lives until its work unit
-  ends, so only results that are small next to the versions' own
-  feature matrices are memoised there.
+- :class:`ReuseScope` — a content-addressed memo store for one work
+  unit. Estimators consult the active scope (a thread-local set by
+  ``runner.run_repetition_cells``) for cached pure-function results
+  keyed by the *bytes* of their inputs: booster presort orders, tuned
+  hyperparameters and whole tuned-model evaluations. Array-valued
+  kinds live until the unit ends; the tuned-model results
+  (:data:`RESULT_KINDS`) live in :func:`repetition_results`, shared by
+  the sibling units of one ``(dataset, repetition)``.
 - :func:`featurize_version` / :func:`incremental_featurize` — cold and
   delta-patched featurisation. The incremental path re-encodes only
   the changed rows of the one-hot block and splices them into a copy
@@ -52,11 +53,14 @@ from repro.ml.preprocessing import OneHotEncoder, StandardScaler
 from repro.tabular import ColumnKind, Table, aligned_codes
 
 __all__ = [
+    "RESULT_KINDS",
     "ReuseScope",
     "TableDelta",
     "VersionDelta",
     "FeatureArtifacts",
     "active",
+    "drop_repetition_results",
+    "repetition_results",
     "reuse_scope",
     "table_delta",
     "version_delta",
@@ -206,9 +210,15 @@ def version_delta(
 
 _Fingerprint = tuple
 
+#: Memo kinds whose values are tuned-model results: hyperparameters, a
+#: validation score and, for ``model_eval``, one prediction vector.
+#: They are small and keyed by content alone, so they may outlive the
+#: unit that computed them (see :func:`repetition_results`).
+RESULT_KINDS = frozenset({"model_eval", "model_tune"})
+
 
 class ReuseScope:
-    """Content-addressed memoisation for one repetition.
+    """Content-addressed memoisation for one work unit.
 
     Cached values are keyed by the exact bytes of their input arrays
     (shape, dtype, length, CRC-32 and Adler-32 of the raw buffer), so a
@@ -218,12 +228,20 @@ class ReuseScope:
     ``id`` cannot be recycled), making repeat lookups on the versions'
     long-lived matrices O(1).
 
+    The scope itself lives as long as its unit, and with it the
+    fingerprint cache and every array-valued memo kind. Values of the
+    :data:`RESULT_KINDS` go to ``results`` instead when it is given:
+    the runner passes :func:`repetition_results`, so the error-type
+    units of one ``(dataset, repetition)`` — whose dirty versions train
+    on the same complete rows — tune that training set once.
+
     Memoised values are treated as immutable by all consumers; the
     scope hands back the same object on every hit.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, results: dict[tuple, Any] | None = None) -> None:
         self._memo: dict[tuple, Any] = {}
+        self._results = self._memo if results is None else results
         self._fingerprints: dict[int, tuple[np.ndarray, _Fingerprint]] = {}
         self.stats: dict[str, list[int]] = {}
 
@@ -257,12 +275,13 @@ class ReuseScope:
     ) -> Any:
         """Return the cached value for (kind, extra, array bytes) or compute it."""
         key = (kind, extra, tuple(self.fingerprint(array) for array in arrays))
-        if key in self._memo:
+        memo = self._results if kind in RESULT_KINDS else self._memo
+        if key in memo:
             self._count(kind, hit=True)
-            return self._memo[key]
+            return memo[key]
         self._count(kind, hit=False)
         value = compute()
-        self._memo[key] = value
+        memo[key] = value
         return value
 
     def _count(self, kind: str, hit: bool) -> None:
@@ -284,6 +303,30 @@ class ReuseScope:
             kind: {"hits": entry[0], "misses": entry[1]}
             for kind, entry in sorted(self.stats.items())
         }
+
+
+#: The process's tuned-model results: ``(key, results)`` of the last
+#: ``(dataset, repetition)`` a unit ran for, or ``None``.
+_REPETITION_RESULTS: tuple[tuple, dict[tuple, Any]] | None = None
+
+
+def repetition_results(key: tuple) -> dict[tuple, Any]:
+    """The process's tuned-model results for ``key``.
+
+    ``key`` is a unit's ``(dataset, repetition)``. The process keeps
+    the results of one key at a time: a unit of another key replaces
+    them, so memory stays bounded by one repetition's tuned results.
+    """
+    global _REPETITION_RESULTS
+    if _REPETITION_RESULTS is None or _REPETITION_RESULTS[0] != key:
+        _REPETITION_RESULTS = (key, {})
+    return _REPETITION_RESULTS[1]
+
+
+def drop_repetition_results() -> None:
+    """Forget the process's tuned-model results (an in-process run's end)."""
+    global _REPETITION_RESULTS
+    _REPETITION_RESULTS = None
 
 
 _LOCAL = threading.local()

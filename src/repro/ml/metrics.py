@@ -86,8 +86,8 @@ def _validate(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.nd
             f"shape mismatch: y_true {y_true.shape} vs y_pred {y_pred.shape}"
         )
     for name, arr in (("y_true", y_true), ("y_pred", y_pred)):
-        bad = np.setdiff1d(np.unique(arr), (0, 1))
-        if bad.size:
+        if arr.size and (arr.min() < 0 or arr.max() > 1):
+            bad = np.setdiff1d(np.unique(arr), (0, 1))
             raise ValueError(f"{name} must be 0/1, found {bad}")
     return y_true, y_pred
 

@@ -270,8 +270,6 @@ class GridSearchCV:
                 best_score = entry["score"]
                 best_params = dict(entry["params"])
         assert best_params is not None
-        self.best_params_ = best_params
-        self.best_score_ = best_score
         if obs.is_enabled():
             # export the per-candidate timings that cv_results_ accumulates
             # (previously CLI-invisible) into the trace sink
@@ -282,8 +280,29 @@ class GridSearchCV:
                 tune_span.add("fit_seconds", entry["fit_seconds"])
                 tune_span.add("score_seconds", entry["score_seconds"])
                 obs.histogram("candidate_fit_seconds", entry["fit_seconds"])
+        self.refit(X, y, best_params, best_score)
+
+    def refit(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        best_params: dict[str, Any],
+        best_score: float,
+    ) -> "GridSearchCV":
+        """Fit the best candidate on all of ``X``: the last step of :meth:`fit`.
+
+        Given the ``best_params_`` and ``best_score_`` an earlier search
+        of the same ``(X, y)`` selected, this leaves the search as
+        :meth:`fit` would, apart from ``cv_results_``, without
+        re-running the cross-validation.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        y = np.asarray(y).astype(np.int64)
+        self.best_params_ = dict(best_params)
+        self.best_score_ = best_score
         self.best_estimator_ = clone(self.estimator).set_params(**best_params)
         self.best_estimator_.fit(X, y)
+        return self
 
     def _record_result(
         self,

@@ -93,6 +93,28 @@ def test_plan_enumerates_pending_cells():
         assert unit.done_keys == ()
 
 
+def test_plan_keeps_a_repetitions_error_types_adjacent():
+    """Sibling units of one repetition run back to back, so a process
+    keeps their shared tuned results across all of them."""
+    units = plan_work_units(
+        tiny_config(), ResultStore(), datasets=("german", "heart")
+    )
+    assert [
+        (unit.dataset, unit.repetition, unit.error_type) for unit in units
+    ] == [
+        ("german", 0, "missing_values"),
+        ("german", 0, "outliers"),
+        ("german", 0, "mislabels"),
+        ("german", 1, "missing_values"),
+        ("german", 1, "outliers"),
+        ("german", 1, "mislabels"),
+        ("heart", 0, "outliers"),
+        ("heart", 0, "mislabels"),
+        ("heart", 1, "outliers"),
+        ("heart", 1, "mislabels"),
+    ]
+
+
 def test_plan_respects_resume_store():
     config = tiny_config(models=("log_reg", "knn"))
     store = ResultStore()

@@ -168,6 +168,9 @@ def test_confusion_codes_reject_non_binary():
         confusion_codes(np.array([0, 2]), np.array([0, 1]))
     with pytest.raises(ValueError, match="shape"):
         confusion_codes(np.array([0, 1]), np.array([0]))
+    with pytest.raises(ValueError) as raised:
+        confusion_codes(np.array([0, 1, 1, 0]), np.array([0, -1, 2, 1]))
+    assert str(raised.value) == "y_pred must be 0/1, found [-1  2]"
 
 
 def test_masked_confusions_match_per_group_counting():

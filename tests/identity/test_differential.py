@@ -1,18 +1,24 @@
 """Cold-vs-incremental differential tests.
 
-The smoke test runs in tier-1 and pins the headline contract on one
-configuration; the ``identity``-marked matrix (opt-in, see
-``tests/conftest.py``) sweeps all three error types across every
-backend x transport combination with all three model families.
+The smoke tests run in tier-1 and pin the headline contract on a few
+configurations, one of them two repetitions of all three error types,
+whose units share tuned results across error types; the
+``identity``-marked matrix (opt-in, see ``tests/conftest.py``) sweeps
+each error type on its own across every backend x transport
+combination with all three model families.
 """
 
 import json
+import zlib
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro import StudyConfig
-from repro.benchmark import ExperimentRunner, ResultStore
+from repro.benchmark import ExperimentRunner, ResultStore, run_parallel_study
+from repro.ml import GridSearchCV, incremental
 from repro.benchmark.transport import shared_memory_available
 from repro.datasets import load_dataset
 from repro.testing.fixtures import chaos_config
@@ -46,6 +52,66 @@ def test_incremental_smoke_all_models(assert_cells_identical):
     assert_cells_identical(
         chaos_config(models=("log_reg", "knn", "xgboost"), n_repetitions=1)
     )
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_sibling_units_share_tuned_results_byte_identical(
+    assert_cells_identical, backend
+):
+    """Two repetitions of all three error types: the units of one
+    repetition reuse each other's tuned models, bytes unchanged."""
+    assert_cells_identical(
+        chaos_config(models=("log_reg", "knn")),
+        backend=backend,
+        error_types=ERROR_TYPES,
+    )
+
+
+def _digest(*arrays) -> bytes:
+    return b"".join(
+        zlib.crc32(np.ascontiguousarray(array).tobytes()).to_bytes(4, "big")
+        for array in arrays
+    )
+
+
+@pytest.mark.parametrize(("reuse", "searches"), [(False, 3), (True, 1)])
+def test_dirty_split_is_tuned_once_per_repetition(monkeypatch, reuse, searches):
+    """The three error types' dirty versions train on the split's
+    complete rows; with reuse on, one grid search serves all three."""
+    repetition: list[int] = []
+    dirty_digests: dict[int, set[bytes]] = {}
+    fits: Counter = Counter()
+    run_cells = ExperimentRunner.run_repetition_cells
+    features_for = ExperimentRunner._features_for
+    fit = GridSearchCV.fit
+
+    def spy_run_cells(self, definition, table, error_type, rep, *args, **kwargs):
+        repetition[:] = [rep]
+        return run_cells(self, definition, table, error_type, rep, *args, **kwargs)
+
+    def spy_features_for(self, definition, version):
+        features = features_for(self, definition, version)
+        if version.name == "dirty":
+            dirty_digests.setdefault(repetition[0], set()).add(
+                _digest(features[0], version.train_labels)
+            )
+        return features
+
+    def spy_fit(self, X, y):
+        fits[(repetition[0], _digest(X, y))] += 1
+        return fit(self, X, y)
+
+    monkeypatch.setattr(ExperimentRunner, "run_repetition_cells", spy_run_cells)
+    monkeypatch.setattr(ExperimentRunner, "_features_for", spy_features_for)
+    monkeypatch.setattr(GridSearchCV, "fit", spy_fit)
+    # results an earlier test's units left in this process would add hits
+    incremental.drop_repetition_results()
+    config = chaos_config(incremental=reuse)
+    run_parallel_study(config, ResultStore(), datasets=("german",))
+    assert sorted(dirty_digests) == [0, 1]
+    for rep, digests in dirty_digests.items():
+        (dirty,) = digests  # the same training bytes in every error type
+        assert fits[(rep, dirty)] == searches
 
 
 @pytest.mark.identity

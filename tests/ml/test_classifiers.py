@@ -9,6 +9,7 @@ from repro.ml import (
     LogisticRegressionClassifier,
     clone,
 )
+from repro.ml.base import BaseEstimator
 from repro.ml.metrics import accuracy_score
 
 
@@ -182,3 +183,32 @@ def test_clone_produces_unfitted_copy_with_same_params():
 def test_set_params_unknown_name_rejected():
     with pytest.raises(ValueError, match="hyperparameter"):
         LogisticRegressionClassifier().set_params(gamma=1.0)
+
+
+def test_set_params_unknown_name_message():
+    with pytest.raises(ValueError) as raised:
+        LogisticRegressionClassifier().set_params(gamma=1.0)
+    assert str(raised.value) == (
+        "LogisticRegressionClassifier has no hyperparameter 'gamma'; "
+        "valid: ['C', 'max_iter', 'tol']"
+    )
+
+
+def test_param_names_are_per_class():
+    class First(BaseEstimator):
+        def __init__(self, alpha=1, beta=2):
+            self.alpha = alpha
+            self.beta = beta
+
+    class Second(First):
+        def __init__(self, gamma=3, *args, **kwargs):
+            super().__init__()
+            self.gamma = gamma
+
+    for _ in range(2):
+        assert First._param_names() == ("alpha", "beta")
+        assert Second._param_names() == ("gamma",)
+    assert Second().set_params(gamma=4).get_params() == {"gamma": 4}
+    with pytest.raises(ValueError, match="has no hyperparameter 'alpha'"):
+        Second().set_params(alpha=0)
+    assert clone(First(alpha=5)).get_params() == {"alpha": 5, "beta": 2}

@@ -78,6 +78,20 @@ def test_non_binary_labels_rejected():
         confusion_matrix(np.array([0, 2]), np.array([0, 1]))
 
 
+def test_non_binary_labels_message_names_the_bad_values():
+    with pytest.raises(ValueError) as raised:
+        accuracy_score(np.array([0, 1, 2, -1]), np.array([0, 0, 0, 0]))
+    assert str(raised.value) == "y_true must be 0/1, found [-1  2]"
+    with pytest.raises(ValueError) as raised:
+        f1_score(np.array([0, 0, 1, 1]), np.array([2, 0, -1, 1]))
+    assert str(raised.value) == "y_pred must be 0/1, found [-1  2]"
+
+
+def test_empty_labels_accepted():
+    empty = np.array([], dtype=np.int64)
+    assert confusion_matrix(empty, empty).total == 0
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="mismatch"):
         accuracy_score(np.array([0, 1]), np.array([0]))

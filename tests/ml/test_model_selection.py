@@ -116,6 +116,27 @@ def test_grid_search_refits_on_full_data():
     assert search.predict_proba(X).shape == (len(y), 2)
 
 
+@pytest.mark.parametrize(
+    ("estimator", "grid"),
+    [
+        (LogisticRegressionClassifier(), {"C": [0.01, 1.0, 100.0]}),
+        (KNearestNeighborsClassifier(), {"n_neighbors": [1, 5, 15]}),
+    ],
+)
+def test_grid_search_refit_matches_fit(estimator, grid):
+    """Refitting with a search's outcome predicts as the search does."""
+    X, y = make_blobs()
+    searched = GridSearchCV(estimator, grid, n_splits=3, random_state=4).fit(X, y)
+    refitted = GridSearchCV(estimator, grid, n_splits=3, random_state=4).refit(
+        X, y, searched.best_params_, searched.best_score_
+    )
+    assert refitted.best_params_ == searched.best_params_
+    assert refitted.best_params_ is not searched.best_params_
+    assert refitted.best_score_ == searched.best_score_
+    assert refitted.predict_proba(X).tobytes() == searched.predict_proba(X).tobytes()
+    assert refitted.cv_results_ == []
+
+
 def test_grid_search_multi_param_grid_size():
     X, y = make_blobs()
     search = GridSearchCV(
