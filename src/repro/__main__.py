@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any, Callable
 
 from repro import (
     DATASET_NAMES,
@@ -30,6 +31,7 @@ from repro import (
     load_dataset,
 )
 from repro.benchmark import ExecutorOptions, ResultStore, run_parallel_study
+from repro.datasets.definitions import check_n_rows
 from repro.reporting import (
     render_case_counts,
     render_dataset_table,
@@ -58,6 +60,30 @@ def _positive_float(value: str) -> float:
     if number <= 0:
         raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
     return number
+
+
+def _checked(
+    convert: Callable[[str], Any], check: Callable[[Any], object]
+) -> Callable[[str], Any]:
+    """An argparse type that converts a value and runs the library's own
+    check on it, so a value the library rejects is a usage error."""
+
+    def parse(value: str) -> Any:
+        converted = convert(value)
+        try:
+            check(converted)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+        return converted
+
+    # argparse names the type in its "invalid <type> value" message
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _study_field(name: str, convert: Callable[[str], Any]) -> Callable[[str], Any]:
+    """An argparse type bounded by ``StudyConfig``'s check of ``name``."""
+    return _checked(convert, lambda value: StudyConfig(**{name: value}))
 
 
 def _cmd_datasets(args: argparse.Namespace) -> int:
@@ -487,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rq1 = sub.add_parser("rq1", help="run the RQ1 disparity analysis")
     rq1.add_argument("--dataset", choices=DATASET_NAMES)
-    rq1.add_argument("--n-rows", type=int, default=5_000)
+    rq1.add_argument("--n-rows", type=_checked(int, check_n_rows), default=5_000)
     rq1.add_argument("--seed", type=int, default=0)
     rq1.add_argument("--intersectional", action="store_true")
     rq1.set_defaults(func=_cmd_rq1)
@@ -498,13 +524,21 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument(
         "--error-type", choices=("missing_values", "outliers", "mislabels")
     )
-    study.add_argument("--n-sample", type=int, default=2_000)
-    study.add_argument("--test-fraction", type=float, default=0.3)
-    study.add_argument("--repetitions", type=int, default=10)
-    study.add_argument("--tuning-seeds", type=int, default=1)
+    study.add_argument(
+        "--n-sample", type=_study_field("n_sample", int), default=2_000
+    )
+    study.add_argument(
+        "--test-fraction", type=_study_field("test_fraction", float), default=0.3
+    )
+    study.add_argument(
+        "--repetitions", type=_study_field("n_repetitions", int), default=10
+    )
+    study.add_argument(
+        "--tuning-seeds", type=_study_field("n_tuning_seeds", int), default=1
+    )
     study.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_study_field("workers", int),
         default=1,
         help="worker processes; >1 shards pending runs across a pool, 1 "
         "runs them in-process (results are byte-identical either way)",

@@ -19,6 +19,12 @@ from repro.tabular import Table
 ERROR_TYPES = ("missing_values", "outliers", "mislabels")
 
 
+def check_n_rows(n_rows: int) -> None:
+    """Raise ``ValueError`` unless ``n_rows`` can be generated."""
+    if n_rows < 1:
+        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+
+
 @dataclass(frozen=True)
 class DatasetDefinition:
     """Declarative description of a benchmark dataset.
@@ -104,8 +110,7 @@ class DatasetDefinition:
     def generate(self, n_rows: int | None = None, seed: int = 0) -> Table:
         """Generate ``n_rows`` tuples (Table I size by default)."""
         n = n_rows if n_rows is not None else self.default_n_rows
-        if n < 1:
-            raise ValueError(f"n_rows must be >= 1, got {n}")
+        check_n_rows(n)
         table = self.generator(n, seed)
         self.validate_table(table)
         return table

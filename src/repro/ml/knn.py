@@ -11,6 +11,13 @@ grid from one distance matrix per chunk: one ``argpartition`` up to
 ``k`` — with an exact replay of the naive selection, one call per
 chunk and ``k``, for the rows where a distance tie at the
 ``k``-boundary could make the selected neighbour set ambiguous.
+
+The chunk size is part of the byte contract, not a free memory knob:
+BLAS may sum a row's product in a different order when the same row
+sits in a matrix of another height, so splitting a test matrix into
+other row chunks can move distance bits, and with them the order of
+nearly equal distances. At laptop scale every test matrix fits in one
+chunk.
 """
 
 from __future__ import annotations
@@ -21,6 +28,12 @@ import numpy as np
 
 from repro.ml.base import BaseClassifier, split_single_parameter_grid
 
+# Distance cells per chunk. Changing it can change distance bits (see
+# the module docstring): at one OpenBLAS thread, splitting the test rows
+# into other chunks changed ``_chunk_distances`` bits in 45 of 60 random
+# (shape, chunk rows) cases. The benchmark's test matrices fit in one
+# chunk (4M cells / 1800 train rows >= 1200 test rows), so a smaller
+# value must first show unchanged study records.
 _CHUNK_TARGET_CELLS = 4_000_000
 
 

@@ -22,16 +22,53 @@ division over the whole array. The solver therefore sees the same
 ``(f, g)`` at the same points as under ``minimize`` with the plain
 two-branch sigmoid, so every solver path and every fitted coefficient
 is bit-identical to it.
+
+``setulb`` lives in scipy's compiled ``scipy.optimize._lbfgsb``
+extension, which ``_load_lbfgsb`` loads straight from its file.
+Importing it by name would first execute the whole ``scipy.optimize``
+package, with ``scipy.linalg``, ``scipy.sparse`` and ``scipy.special``
+behind it: about half a second and 40 MB of every process that imports
+``repro``, for modules no study calls. The loaded extension is the same
+file, linked to the same OpenBLAS, so the solver computes the same bits.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
-from scipy.optimize import _lbfgsb
+import scipy
 
 from repro.ml.base import BaseClassifier, clone, split_single_parameter_grid
+
+
+def _load_lbfgsb() -> Any:
+    """scipy's compiled L-BFGS-B extension, without ``scipy.optimize``.
+
+    The module is registered in ``sys.modules`` under its own name, as
+    an import would, so a later ``import scipy.optimize`` in the same
+    process reuses this very module object.
+    """
+    name = "scipy.optimize._lbfgsb"
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [str(Path(scipy.__file__).parent / "optimize")]
+    )
+    if spec is None:
+        raise ImportError(
+            f"{name} not found next to scipy {scipy.__version__}; "
+            "repro requires scipy>=1.15"
+        )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_lbfgsb = _load_lbfgsb()
 
 # The settings ``minimize(method="L-BFGS-B")`` passes to ``setulb`` by
 # default: history size, ``factr = ftol / eps`` and line-search budget,

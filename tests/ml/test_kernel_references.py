@@ -29,8 +29,8 @@ def reference_sigmoid(z):
     return out
 
 
-def reference_result(X, y_float, theta0, C, max_iter=200, tol=1e-6):
-    """``minimize``'s L-BFGS-B on a combined (loss, gradient) objective."""
+def reference_objective(X, y_float, C):
+    """The penalised NLL and its gradient, in one call."""
     n_features = X.shape[1]
     penalty = 1.0 / (2.0 * C)
 
@@ -46,12 +46,20 @@ def reference_result(X, y_float, theta0, C, max_iter=200, tol=1e-6):
         grad_b = float(np.sum(residual))
         return loss, np.concatenate([grad_w, [grad_b]])
 
+    return objective
+
+
+def reference_result(
+    X, y_float, theta0, C, max_iter=200, tol=1e-6, objective=None, callback=None
+):
+    """``minimize``'s L-BFGS-B on a combined (loss, gradient) objective."""
     return optimize.minimize(
-        objective,
+        objective or reference_objective(X, y_float, C),
         theta0,
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": max_iter, "gtol": tol},
+        callback=callback,
     )
 
 
@@ -81,6 +89,16 @@ def random_problem(rng):
     if y.min() == y.max():
         y[0] = 1 - y[0]
     return X, y
+
+
+def badly_scaled_problem(seed):
+    """One one-hot-like column scaled by 1e6-1e8: the first steps
+    overshoot by orders of magnitude, so line searches run long."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(40, 400))
+    x = (rng.normal(size=n) > 0).astype(np.float64)
+    y = (x * rng.normal(scale=3.0) + rng.normal(size=n) > 0).astype(np.int64)
+    return (x * 10.0 ** rng.uniform(6, 8))[:, None], y
 
 
 def study_shaped_problem(rng):
@@ -152,6 +170,42 @@ def test_logistic_fit_equals_reference_when_max_iter_cuts_the_solve():
                 assert expected.nit == max_iter and not expected.success
                 assert model.coef_.tobytes() == expected.x[:-1].tobytes()
                 assert model.intercept_ == float(expected.x[-1])
+
+
+def test_logistic_fit_equals_reference_when_line_searches_run_long():
+    """Pins the line-search budget ``_MAXLS``.
+
+    Each problem makes one iteration's line search take more than 5
+    evaluations. Seed 23 needs up to 19 in one search, and seed 44 has a
+    search that fails at 20 evaluations but ends later under a larger
+    budget, so every budget from 1 to 30 but 20 moves a coefficient bit
+    of one of them (checked for 1-30, 40 and 100).
+    """
+    C = STUDY_C_GRID[0]
+    for seed in (23, 44):
+        X, y = badly_scaled_problem(seed)
+        y_float = y.astype(np.float64)
+        objective = reference_objective(X, y_float, C)
+        evaluations = []
+
+        def counting(theta):
+            evaluations.append(None)
+            return objective(theta)
+
+        per_iteration = []
+        expected = reference_result(
+            X,
+            y_float,
+            np.zeros(2),
+            C,
+            objective=counting,
+            callback=lambda *__: per_iteration.append(len(evaluations)),
+        )
+        # the first evaluation, at theta0, comes before any line search
+        assert max(np.diff([1, *per_iteration])) > 5
+        model = LogisticRegressionClassifier(C=C).fit(X, y)
+        assert model.coef_.tobytes() == expected.x[:-1].tobytes()
+        assert model.intercept_ == float(expected.x[-1])
 
 
 def test_logistic_warm_path_equals_reference_on_study_shaped_inputs():

@@ -165,6 +165,38 @@ def test_observability_flags_rejected_with_message(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["study", "--n-sample", "5"], "n_sample must be >= 10, got 5"),
+        (["study", "--repetitions", "0"], "n_repetitions must be >= 1, got 0"),
+        (["study", "--tuning-seeds", "0"], "n_tuning_seeds must be >= 1, got 0"),
+        (
+            ["study", "--test-fraction", "1.5"],
+            "test_fraction must be in (0, 1), got 1.5",
+        ),
+        (["study", "--test-fraction", "0"], "test_fraction must be in (0, 1)"),
+        (["rq1", "--n-rows", "-3"], "n_rows must be >= 1, got -3"),
+        (["rq1", "--n-rows", "0"], "n_rows must be >= 1, got 0"),
+    ],
+)
+def test_out_of_bounds_study_sizes_are_usage_errors(
+    tmp_path, capsys, argv, message
+):
+    """A size the library's own validation rejects exits 2 with an
+    argparse message naming the flag, before anything reaches the store."""
+    command, flag, value = argv
+    store = tmp_path / "s.json"
+    store_args = ["--store", str(store)] if command == "study" else []
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *store_args, flag, value])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro {command}: error: argument {flag}: {message}" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_study_accepts_no_trace_default(tmp_path):
     args = build_parser().parse_args(
         ["study", "--store", "s.json", "--no-trace"]

@@ -1,10 +1,14 @@
-"""A study process never loads ``scipy.stats``.
+"""A study process never loads ``scipy.stats`` or ``scipy.optimize``.
 
 ``scipy.stats`` costs about 0.4 s of import time and 23 MB of RSS, and
 only the analysis side (the G² test and the paired t-tests behind
 ``ImpactAnalysis``) needs it, so ``repro.stats`` imports it inside the
-two functions that call it. The check runs in a fresh interpreter,
-because any earlier test in this process may already have imported it.
+two functions that call it. The logistic solver needs only scipy's
+compiled ``_lbfgsb`` extension, which ``repro.ml.logistic`` loads from
+its file; executing the ``scipy.optimize`` package would also load
+``scipy.linalg``, ``scipy.sparse`` and ``scipy.special``. The checks
+run in a fresh interpreter, because any earlier test in this process
+may already have imported these packages.
 """
 
 import os
@@ -26,9 +30,16 @@ SCRIPT = textwrap.dedent(
     import repro
     from repro import StudyConfig
     from repro.benchmark import ImpactAnalysis, ResultStore, run_parallel_study
+    from repro.ml import LogisticRegressionClassifier, logistic
     from repro.stats import g_test
 
+    UNUSED = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.special")
+
+    def loaded(names):
+        return [name for name in names if name in sys.modules]
+
     assert "scipy.stats" not in sys.modules, "import repro loaded scipy.stats"
+    assert not loaded(UNUSED), f"import repro loaded {loaded(UNUSED)}"
     with tempfile.TemporaryDirectory() as directory:
         store = ResultStore(Path(directory) / "study.json")
         config = StudyConfig(
@@ -46,6 +57,43 @@ SCRIPT = textwrap.dedent(
         )
         assert added > 0
         assert "scipy.stats" not in sys.modules, "the study loaded scipy.stats"
+        assert not loaded(UNUSED), f"the study loaded {loaded(UNUSED)}"
+
+        # scipy.optimize imported afterwards reuses the solver's extension
+        from scipy import optimize
+        from scipy.optimize import _lbfgsb
+
+        assert _lbfgsb is logistic._lbfgsb
+        assert optimize._lbfgsb_py._lbfgsb is logistic._lbfgsb
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(200, 6))
+        X[:, 0] *= 1e3
+        y = (X[:, 1] + rng.normal(size=200) > 0).astype(np.int64)
+        y_float = y.astype(np.float64)
+
+        def objective(theta):
+            z = X @ theta[:-1] + theta[-1]
+            p = np.empty_like(z)
+            positive = z >= 0
+            p[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+            exp_z = np.exp(z[~positive])
+            p[~positive] = exp_z / (1.0 + exp_z)
+            w = theta[:-1]
+            loss = np.sum(np.logaddexp(0.0, z) - y_float * z) + 0.5 * (w @ w)
+            residual = p - y_float
+            grad = np.concatenate([X.T @ residual + w, [np.sum(residual)]])
+            return float(loss), grad
+
+        expected = optimize.minimize(
+            objective,
+            np.zeros(7),
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": 200, "gtol": 1e-6},
+        ).x
+        model = LogisticRegressionClassifier(C=1.0).fit(X, y)
+        assert model.coef_.tobytes() == expected[:-1].tobytes()
+        assert model.intercept_ == float(expected[-1])
 
         # the deferred imports still resolve on the analysis side
         impacts = ImpactAnalysis(store).configuration_impacts(
