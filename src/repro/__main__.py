@@ -108,10 +108,14 @@ def _cmd_rq1(args: argparse.Namespace) -> int:
     findings = []
     for name in names:
         definition, table = load_dataset(name, n_rows=args.n_rows, seed=args.seed)
-        if args.intersectional:
-            findings.extend(analysis.intersectional(definition, table))
-        else:
-            findings.extend(analysis.single_attribute(definition, table))
+        try:
+            if args.intersectional:
+                findings.extend(analysis.intersectional(definition, table))
+            else:
+                findings.extend(analysis.single_attribute(definition, table))
+        except ValueError as error:
+            # too few rows for the detectors' cross-validation folds
+            args.usage_error(f"argument --n-rows: {name}: {error}")
     kind = "INTERSECTIONAL" if args.intersectional else "SINGLE-ATTRIBUTE"
     print(
         render_disparity_figure(
@@ -514,9 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     rq1 = sub.add_parser("rq1", help="run the RQ1 disparity analysis")
     rq1.add_argument("--dataset", choices=DATASET_NAMES)
     rq1.add_argument("--n-rows", type=_checked(int, check_n_rows), default=5_000)
-    rq1.add_argument("--seed", type=int, default=0)
+    rq1.add_argument("--seed", type=_non_negative_int, default=0)
     rq1.add_argument("--intersectional", action="store_true")
-    rq1.set_defaults(func=_cmd_rq1)
+    rq1.set_defaults(func=_cmd_rq1, usage_error=rq1.error)
 
     study = sub.add_parser("study", help="run RQ2 experiment configurations")
     study.add_argument("--store", required=True, help="JSON result-store path")

@@ -608,46 +608,4 @@ class ExperimentRunner:
             )
             self.store.add(record)
             added += 1
-            if obs.is_enabled():
-                self._emit_fairness(record)
         return added
-
-    @staticmethod
-    def _emit_fairness(record: RunRecord) -> None:
-        """Emit the cell's fairness outcome as a domain trace event.
-
-        One ``fairness`` event per record — accuracy plus per-group
-        signed disparities for the audited metrics, dirty vs repaired
-        — so live monitors and post-hoc audits see "cleaning hurt
-        group G" without reopening the store. Events land in the trace
-        sidecar only; record bytes are untouched. The surrounding
-        ``cell_done`` heartbeat flushes the sink, so the event is
-        visible mid-run without an extra flush here.
-        """
-        from repro.obs.audit import cell_fairness
-
-        payload = cell_fairness(record.metrics, record.repair)
-        if payload is None:
-            return
-        obs.event(
-            "fairness",
-            dataset=record.dataset,
-            error_type=record.error_type,
-            detection=record.detection,
-            repair=record.repair,
-            model=record.model,
-            repetition=record.repetition,
-            seed=record.tuning_seed,
-            acc=payload["acc"],
-            groups=payload["groups"],
-        )
-        obs.counter("fairness_cells")
-        for gaps in payload["groups"].values():
-            for metric, pair in gaps.items():
-                if pair[1] is None:
-                    continue
-                obs.gauge(
-                    "fairness_max_gap", abs(pair[1]), metric=metric
-                )
-                if pair[0] is not None and abs(pair[1]) > abs(pair[0]):
-                    obs.counter("fairness_gap_widened", metric=metric)

@@ -10,27 +10,30 @@ to this reproduction):
 - :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms whose snapshots merge deterministically across worker
   shards.
-- :mod:`repro.obs.report` — folds ``trace.jsonl`` + ``failures.jsonl``
-  into a :class:`RunHealth` summary and renders the plain-text
-  ``python -m repro obs-report`` view.
-- :mod:`repro.obs.progress` — read-only in-flight monitoring from the
-  sidecars a live run is already writing (heartbeats, journal shards,
-  the manifest): ``python -m repro monitor``.
+- :mod:`repro.obs.report` — the one reducer of trace events:
+  :func:`build_health` folds ``trace.jsonl`` + ``failures.jsonl`` into
+  a :class:`RunHealth` summary, and :func:`render_health_report`
+  renders the plain-text ``python -m repro obs-report`` view.
+- :mod:`repro.obs.progress` — read-only in-flight monitoring: the
+  :class:`RunHealth` fold of the sidecars a live run is already
+  writing, plus journal counts and clock arithmetic (ETA, stalled
+  workers): ``python -m repro monitor``.
 - :mod:`repro.obs.export` — Chrome Trace Event Format export for
   Perfetto / speedscope: ``python -m repro obs-export``.
 - :mod:`repro.obs.profile` — opt-in memory telemetry (tracemalloc
   deltas + RSS gauges at hot-path span boundaries), behind
   ``--profile-memory``.
-- :mod:`repro.obs.diff` — noise-aware cross-run regression diffs over
-  trace sidecars: ``python -m repro obs-diff``.
-- :mod:`repro.obs.audit` — fairness outcomes as first-class telemetry:
-  per-cell ``fairness`` events, :class:`FairnessAudit` run summaries,
-  and baseline diffs with dual noise thresholds plus a G² evidence
-  gate: ``python -m repro obs-audit``.
+- :mod:`repro.obs.diff` — noise-aware cross-run regression diffs
+  between two :class:`RunHealth` folds: ``python -m repro obs-diff``.
+- :mod:`repro.obs.audit` — fairness outcomes as first-class telemetry,
+  read from the store's records only: :class:`FairnessAudit` run
+  summaries, alert-rule evaluation, and baseline diffs with dual noise
+  thresholds plus a G² evidence gate: ``python -m repro obs-audit``
+  (on a finished or an in-flight run).
 - :mod:`repro.obs.ledger` — the append-only ``{stem}.ledger.jsonl``
   run ledger with pinned baselines: ``python -m repro obs-baseline``.
-- :mod:`repro.obs.rules` — declarative fairness alert rules evaluated
-  live by the monitor and post-hoc by ``obs-audit`` / ``obs-report``.
+- :mod:`repro.obs.rules` — declarative fairness alert rules, evaluated
+  in one place: :func:`evaluate_rules` over a :class:`FairnessAudit`.
 
 Instrumentation is threaded through the hot layers (experiment
 runner, parallel executor, grid search, cleaning detectors/repairers,
@@ -47,7 +50,6 @@ from repro.obs.audit import (
     FairnessAudit,
     GroupAudit,
     build_audit,
-    cell_fairness,
     diff_audits,
     evaluate_rules,
     render_audit,
@@ -59,7 +61,6 @@ from repro.obs.diff import (
     diff_runs,
     diff_stores,
     render_diff,
-    span_stats,
 )
 from repro.obs.export import (
     EXPORT_FORMATS,
@@ -146,7 +147,6 @@ __all__ = [
     "FairnessAudit",
     "GroupAudit",
     "build_audit",
-    "cell_fairness",
     "diff_audits",
     "evaluate_rules",
     "render_audit",
@@ -174,7 +174,6 @@ __all__ = [
     "diff_runs",
     "diff_stores",
     "render_diff",
-    "span_stats",
     "EXPORT_FORMATS",
     "export_trace",
     "to_chrome_trace",

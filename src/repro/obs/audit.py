@@ -1,20 +1,21 @@
-"""Fairness audit: per-cell disparity payloads, run summaries, diffs.
+"""Fairness audit: run summaries, alert rules and baseline diffs.
 
-The observability layer so far watched only systems health. This
-module makes the study's *outcome* — per-group fairness — first-class
-telemetry, in three pieces:
+This module makes the study's *outcome* — per-group fairness —
+first-class telemetry. Its one source is the group confusion counts
+the store's records already hold; the trace carries no fairness
+numbers. It has three pieces:
 
-- :func:`cell_fairness` turns one evaluated cell's stored confusion
-  counts into a compact ``{"acc": ..., "groups": {...}}`` payload. The
-  runner emits exactly this as a ``fairness`` trace event per record
-  (see :meth:`repro.benchmark.runner.ExperimentRunner._emit_fairness`),
-  so live monitors and post-hoc reports read the same numbers.
 - :func:`build_audit` folds a whole :class:`~repro.benchmark.ResultStore`
   into a :class:`FairnessAudit`: per (dataset, error_type, detection,
   repair, model, group) configuration, the mean dirty vs repaired
   |disparity| for each audited metric plus the summed confusion counts
   behind them. This is the run summary the ledger persists
-  (:mod:`repro.obs.ledger`).
+  (:mod:`repro.obs.ledger`). A store opened mid-run replays its
+  journal shards, so ``obs-audit`` on an in-flight run audits every
+  record written so far.
+- :func:`evaluate_rules` checks the declarative alert rules
+  (:mod:`repro.obs.rules`) against an audit — the only place rules
+  are evaluated.
 - :func:`diff_audits` compares a candidate audit against a (pinned)
   baseline with the same noise discipline as :mod:`repro.obs.diff` —
   a relative threshold AND an absolute gap floor must both clear —
@@ -54,71 +55,6 @@ DEFAULT_MIN_GAP = 0.02
 
 #: Significance level for the G² evidence gate.
 DEFAULT_ALPHA = 0.05
-
-
-def _metric_registry() -> dict[str, Any]:
-    from repro.fairness.metrics import ALL_FAIRNESS_METRICS
-
-    return ALL_FAIRNESS_METRICS
-
-
-def _clean(value: float) -> float | None:
-    """NaN → None so payloads stay strict-JSON serialisable."""
-    return None if value is None or math.isnan(value) else float(value)
-
-
-def cell_fairness(
-    metrics: Mapping[str, Any],
-    repair: str,
-    audit_metrics: Sequence[str] = AUDIT_METRICS,
-) -> dict[str, Any] | None:
-    """Per-group disparity payload for one evaluated cell.
-
-    ``metrics`` is a :class:`~repro.benchmark.RunRecord`'s flat metric
-    dict (CleanML-style confusion keys for the ``dirty`` baseline and
-    the ``repair`` technique). Returns::
-
-        {"acc": {"dirty": float | None, "repaired": float | None},
-         "groups": {group_key: {metric: [dirty, repaired], ...}, ...}}
-
-    where each gap is the *signed* disparity (privileged −
-    disadvantaged) with NaN mapped to None. Returns None when the
-    record stores no group counts for the repair (nothing to audit).
-    """
-    from repro.fairness.confusion import (
-        confusion_from_store_keys,
-        group_key_fragments,
-        group_keys_in_metrics,
-    )
-
-    registry = _metric_registry()
-    groups: dict[str, dict[str, list[float | None]]] = {}
-    for group_key in group_keys_in_metrics(metrics, repair):
-        priv_fragment, dis_fragment = group_key_fragments(group_key)
-        pairs: dict[str, list[float | None]] = {}
-        for technique_index, technique in enumerate(("dirty", repair)):
-            privileged = confusion_from_store_keys(
-                metrics, technique, priv_fragment
-            )
-            disadvantaged = confusion_from_store_keys(
-                metrics, technique, dis_fragment
-            )
-            for name in audit_metrics:
-                pair = pairs.setdefault(name, [None, None])
-                if privileged is not None and disadvantaged is not None:
-                    pair[technique_index] = _clean(
-                        registry[name](privileged, disadvantaged)
-                    )
-        groups[group_key] = pairs
-    if not groups:
-        return None
-    return {
-        "acc": {
-            "dirty": _clean(metrics.get("dirty_test_acc")),
-            "repaired": _clean(metrics.get(f"{repair}_test_acc")),
-        },
-        "groups": groups,
-    }
 
 
 @dataclass(frozen=True)
@@ -272,8 +208,8 @@ def build_audit(
         group_key_fragments,
         group_keys_in_metrics,
     )
+    from repro.fairness.metrics import ALL_FAIRNESS_METRICS as registry
 
-    registry = _metric_registry()
     accumulators: dict[tuple[str, ...], _Accumulator] = {}
     n_records = 0
     for record in store.iter_records():

@@ -1,8 +1,8 @@
 """Cross-run regression diffs over trace sidecars.
 
 :func:`diff_runs` compares two traced runs — span-duration
-distributions (count / total / mean / p50 / p95 per span name), merged
-metric counters, and cache/reuse hit rates — and flags changes that
+distributions (count / mean / p50 / p95 per span name), merged metric
+counters, and cache/reuse hit rates — and flags changes that
 clear **noise-aware thresholds**: a change is reported only when it is
 both relatively large (``threshold``, default 10%) *and* absolutely
 large (``min_seconds`` for durations, ``min_count`` for counters,
@@ -11,9 +11,12 @@ low-volume counters jitter wildly between runs; requiring both bounds
 keeps ``python -m repro obs-diff`` quiet on noise while still
 catching "cell p95 regressed 2×" or "incremental reuse rate dropped".
 
-The comparison is trace-only: it never opens the result store, so two
-runs can be diffed from their ``trace.jsonl`` sidecars alone (e.g. CI
-artifacts of two branches).
+Each side is folded once by :func:`repro.obs.report.build_health`, the
+one event reducer, and every compared quantity is read from the two
+:class:`~repro.obs.report.RunHealth` summaries. The comparison is
+trace-only: it never opens the result store, so two runs can be diffed
+from their ``trace.jsonl`` sidecars alone (e.g. CI artifacts of two
+branches).
 """
 
 from __future__ import annotations
@@ -32,35 +35,6 @@ DEFAULT_THRESHOLD = 0.10
 DEFAULT_MIN_SECONDS = 0.005
 DEFAULT_MIN_COUNT = 1.0
 DEFAULT_MIN_RATE = 0.05
-
-
-def _percentile(values: list[float], fraction: float) -> float:
-    """Nearest-rank percentile of a non-empty sorted list."""
-    index = min(len(values) - 1, max(0, math.ceil(fraction * len(values)) - 1))
-    return values[index]
-
-
-def span_stats(events: Sequence[dict[str, Any]]) -> dict[str, dict[str, float]]:
-    """Per span name: count, total/mean seconds, p50 and p95."""
-    durations: dict[str, list[float]] = {}
-    for event in events:
-        if event.get("kind") != "span":
-            continue
-        durations.setdefault(str(event.get("name", "?")), []).append(
-            float(event.get("seconds", 0.0))
-        )
-    stats: dict[str, dict[str, float]] = {}
-    for name, values in durations.items():
-        values.sort()
-        total = sum(values)
-        stats[name] = {
-            "count": float(len(values)),
-            "total": total,
-            "mean": total / len(values),
-            "p50": _percentile(values, 0.50),
-            "p95": _percentile(values, 0.95),
-        }
-    return stats
 
 
 @dataclass
@@ -132,6 +106,18 @@ def _entry(
     )
 
 
+def _span_quantities(totals: dict[str, float] | None) -> dict[str, float]:
+    """One span name's compared quantities (zeros when it is absent)."""
+    if totals is None:
+        return {"count": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0}
+    return {
+        "count": float(totals["count"]),
+        "mean": totals["seconds"] / totals["count"],
+        "p50": totals["p50"],
+        "p95": totals["p95"],
+    }
+
+
 def diff_runs(
     events_a: Sequence[dict[str, Any]],
     events_b: Sequence[dict[str, Any]],
@@ -142,19 +128,18 @@ def diff_runs(
 ) -> RunDiff:
     """Compare two runs' trace events (A = baseline, B = candidate)."""
     diff = RunDiff(threshold=threshold)
-    stats_a = span_stats(events_a)
-    stats_b = span_stats(events_b)
-    for name in sorted(set(stats_a) | set(stats_b)):
-        empty = {"count": 0.0, "total": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0}
-        a = stats_a.get(name, empty)
-        b = stats_b.get(name, empty)
-        for quantile in ("mean", "p50", "p95"):
+    health_a = build_health(events_a)
+    health_b = build_health(events_b)
+    for name in sorted(set(health_a.phase_totals) | set(health_b.phase_totals)):
+        a = _span_quantities(health_a.phase_totals.get(name))
+        b = _span_quantities(health_b.phase_totals.get(name))
+        for quantity in ("mean", "p50", "p95"):
             diff.entries.append(
                 _entry(
                     "span",
-                    f"{name}.{quantile}_seconds",
-                    a[quantile],
-                    b[quantile],
+                    f"{name}.{quantity}_seconds",
+                    a[quantity],
+                    b[quantity],
                     threshold,
                     min_seconds,
                 )
@@ -162,8 +147,6 @@ def diff_runs(
         diff.entries.append(
             _entry("span", f"{name}.count", a["count"], b["count"], threshold, min_count)
         )
-    health_a = build_health(list(events_a))
-    health_b = build_health(list(events_b))
     for name in sorted(set(health_a.counters) | set(health_b.counters)):
         diff.entries.append(
             _entry(

@@ -1,7 +1,11 @@
 """In-flight run monitoring from trace + journal sidecars.
 
 :func:`scan_run` assembles a :class:`ProgressSnapshot` of a study run
-by reading, **read-only**, the files the executor is writing anyway:
+by reading, **read-only**, the files the executor is writing anyway.
+The trace files and the failures sidecar go through the one event
+reducer, :func:`repro.obs.report.build_health`; this module adds only
+the store and journal record counts and the clock arithmetic (elapsed,
+rate, ETA, stalled workers, completion):
 
 - ``{stem}.trace.jsonl`` — the parent executor's events. The
   ``planned`` event fixes the denominator (units/cells pending this
@@ -25,18 +29,21 @@ skipped by the tolerant JSONL readers. After the run finishes and
 compacts, the same scan still works against the compacted
 ``trace.jsonl`` and reports the run as complete — ``python -m repro
 monitor`` uses that as its exit condition.
+
+Fairness is not part of the snapshot: ``python -m repro obs-audit
+STORE`` audits the records journaled so far, read-only, on an
+in-flight run as well as a finished one.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.obs.report import read_failures, read_trace_events
-from repro.obs.rules import DEFAULT_RULES, AlertRule, dedupe_alerts, evaluate_gaps
+from repro.obs.report import load_health
 
 #: Heartbeat age (seconds) beyond which a worker is reported stalled.
 DEFAULT_STALL_AFTER = 60.0
@@ -100,63 +107,14 @@ class ProgressSnapshot:
         default_factory=dict
     )
     workers: list[WorkerStatus] = field(default_factory=list)
-    fairness_cells: int = 0
-    fairness: dict[tuple[str, str, str, str], dict[str, Any]] = field(
-        default_factory=dict
-    )
-    alerts: list[dict[str, Any]] = field(default_factory=list)
 
     def to_json(self) -> dict[str, Any]:
         """Flat JSON-serialisable representation."""
-        payload = {
-            name: getattr(self, name)
-            for name in (
-                "stem",
-                "now",
-                "planned_units",
-                "planned_cells",
-                "workers_planned",
-                "backend",
-                "units_merged",
-                "records_merged",
-                "cells_started",
-                "cells_done",
-                "cells_poisoned",
-                "journal_records",
-                "store_records",
-                "retries",
-                "recovered",
-                "poisoned_units",
-                "heartbeats",
-                "started_ts",
-                "last_ts",
-                "elapsed",
-                "cells_per_second",
-                "eta_seconds",
-                "complete",
-                "fairness_cells",
-            )
-        }
-        payload["fairness"] = {
-            "/".join(key): dict(stats)
-            for key, stats in sorted(self.fairness.items())
-        }
-        payload["alerts"] = [dict(alert) for alert in self.alerts]
+        payload = asdict(self)
         payload["throughput"] = {
-            "/".join(key): dict(stats)
-            for key, stats in sorted(self.throughput.items())
+            "/".join(key): stats
+            for key, stats in sorted(payload["throughput"].items())
         }
-        payload["workers"] = [
-            {
-                "track": worker.track,
-                "last_ts": worker.last_ts,
-                "age": worker.age,
-                "stalled": worker.stalled,
-                "cells_done": worker.cells_done,
-                "last_phase": worker.last_phase,
-            }
-            for worker in self.workers
-        ]
         return payload
 
 
@@ -230,99 +188,43 @@ def scan_run(
     store_path: str | Path,
     now: float | None = None,
     stall_after: float = DEFAULT_STALL_AFTER,
-    rules: "tuple[AlertRule, ...] | list[AlertRule] | None" = None,
 ) -> ProgressSnapshot:
     """Observe a (possibly in-flight) traced run, read-only.
 
     ``store_path`` is the store manifest path the study was launched
     with (``--store``); ``now`` overrides the snapshot clock for
-    deterministic tests. ``rules`` are the fairness alert rules
-    evaluated live against ``fairness`` events (default
-    :data:`repro.obs.rules.DEFAULT_RULES`).
+    deterministic tests.
     """
     store_path = Path(store_path)
     now = time.time() if now is None else now
-    if rules is None:
-        rules = DEFAULT_RULES
-    snapshot = ProgressSnapshot(stem=str(store_path), now=now)
-    events = read_trace_events(trace_files(store_path))
-    worker_last: dict[str, tuple[float, str]] = {}
-    worker_cells: dict[str, int] = {}
-    live_alerts: list[Any] = []
-    for event in events:
-        kind = event.get("kind")
-        if kind == "metric":
-            continue
-        ts = float(event.get("ts", 0.0))
-        if ts > 0.0:
-            if snapshot.started_ts == 0.0 or ts < snapshot.started_ts:
-                snapshot.started_ts = ts
-            snapshot.last_ts = max(snapshot.last_ts, ts)
-        name = event.get("name")
-        attrs = event.get("attrs", {})
-        track = str(event.get("w", "?"))
-        if name == "planned":
-            snapshot.planned_units = int(attrs.get("units", 0))
-            snapshot.planned_cells = int(attrs.get("cells", 0))
-            snapshot.workers_planned = int(attrs.get("workers", 0))
-            snapshot.backend = str(attrs.get("backend", ""))
-        elif name == "unit_merged":
-            snapshot.units_merged += 1
-            snapshot.records_merged += int(attrs.get("records", 0))
-        elif name == "retry":
-            snapshot.retries += 1
-        elif name == "recovered":
-            snapshot.recovered += 1
-        elif name == "poison":
-            snapshot.poisoned_units += 1
-        elif name == "heartbeat":
-            snapshot.heartbeats += 1
-            phase = str(attrs.get("phase", "?"))
-            if ts > 0.0:
-                last = worker_last.get(track)
-                if last is None or ts >= last[0]:
-                    worker_last[track] = (ts, phase)
-            if phase == "cell_start":
-                snapshot.cells_started += 1
-            elif phase == "cell_done":
-                snapshot.cells_done += 1
-                worker_cells[track] = worker_cells.get(track, 0) + 1
-                key = (
-                    str(attrs.get("dataset", "?")),
-                    str(attrs.get("error_type", "?")),
-                    str(attrs.get("model", "?")),
-                )
-                stats = snapshot.throughput.setdefault(
-                    key, {"cells": 0.0, "seconds": 0.0}
-                )
-                stats["cells"] += 1
-                stats["seconds"] += float(attrs.get("seconds", 0.0))
-        elif name == "fairness":
-            snapshot.fairness_cells += 1
-            _fold_fairness(snapshot, attrs)
-            if rules:
-                acc = attrs.get("acc", {})
-                live_alerts.extend(
-                    evaluate_gaps(
-                        rules,
-                        dataset=str(attrs.get("dataset", "?")),
-                        error_type=str(attrs.get("error_type", "?")),
-                        detection=str(attrs.get("detection", "?")),
-                        repair=str(attrs.get("repair", "?")),
-                        model=str(attrs.get("model", "?")),
-                        gaps=attrs.get("groups", {}),
-                        dirty_acc=acc.get("dirty"),
-                        repaired_acc=acc.get("repaired"),
-                    )
-                )
-    failures = read_failures(
-        store_path.parent / f"{store_path.stem}.failures.jsonl"
+    health = load_health(
+        trace_files(store_path),
+        store_path.parent / f"{store_path.stem}.failures.jsonl",
     )
-    snapshot.cells_poisoned = sum(
-        len(entry.get("pending_cells", ())) for entry in failures
+    snapshot = ProgressSnapshot(
+        stem=str(store_path),
+        now=now,
+        planned_units=health.planned.get("units", 0),
+        planned_cells=health.planned.get("cells", 0),
+        workers_planned=health.planned.get("workers", 0),
+        backend=health.planned.get("backend", ""),
+        units_merged=health.units_merged,
+        records_merged=health.records_merged,
+        cells_started=health.cells_started,
+        cells_done=health.cells_done,
+        cells_poisoned=sum(
+            len(entry.get("pending_cells", ())) for entry in health.failures
+        ),
+        journal_records=_journal_record_count(store_path),
+        store_records=_store_record_count(store_path),
+        retries=health.retries,
+        recovered=health.recovered,
+        poisoned_units=health.poisoned,
+        heartbeats=health.heartbeats,
+        started_ts=health.first_ts,
+        last_ts=health.last_ts,
+        throughput=health.throughput,
     )
-    snapshot.store_records = _store_record_count(store_path)
-    snapshot.journal_records = _journal_record_count(store_path)
     if snapshot.started_ts > 0.0:
         # a clock-skewed heartbeat can carry ts >= now; clamp instead
         # of propagating a negative elapsed into the rate math
@@ -344,60 +246,22 @@ def scan_run(
     # by zero), and is clamped non-negative
     if not snapshot.complete and remaining > 0 and snapshot.cells_per_second > 0.0:
         snapshot.eta_seconds = max(0.0, remaining / snapshot.cells_per_second)
-    snapshot.alerts = [alert.to_json() for alert in dedupe_alerts(live_alerts)]
-    for key, stats in snapshot.throughput.items():
-        stats["cells_per_second"] = (
-            stats["cells"] / stats["seconds"] if stats["seconds"] > 0 else 0.0
-        )
-    for track in sorted(worker_last):
-        ts, phase = worker_last[track]
-        age = max(0.0, now - ts)
+    for name in sorted(health.tracks):
+        track = health.tracks[name]
+        if track["last_ts"] <= 0.0:
+            continue  # no timestamped heartbeat: nothing to age
+        age = max(0.0, now - track["last_ts"])
         snapshot.workers.append(
             WorkerStatus(
-                track=track,
-                last_ts=ts,
+                track=name,
+                last_ts=track["last_ts"],
                 age=age,
                 stalled=not snapshot.complete and age > stall_after,
-                cells_done=worker_cells.get(track, 0),
-                last_phase=phase,
+                cells_done=track["cells_done"],
+                last_phase=track["last_phase"],
             )
         )
     return snapshot
-
-
-def _fold_fairness(snapshot: ProgressSnapshot, attrs: dict[str, Any]) -> None:
-    """Fold one ``fairness`` event into the live per-config deltas."""
-    key = (
-        str(attrs.get("dataset", "?")),
-        str(attrs.get("error_type", "?")),
-        str(attrs.get("model", "?")),
-        str(attrs.get("repair", "?")),
-    )
-    stats = snapshot.fairness.setdefault(
-        key,
-        {
-            "cells": 0,
-            "widened": 0,
-            "max_widening": 0.0,
-            "worst_group": "",
-            "worst_metric": "",
-        },
-    )
-    stats["cells"] += 1
-    cell_widened = False
-    for group, gaps in sorted(attrs.get("groups", {}).items()):
-        for metric, pair in sorted(gaps.items()):
-            if not pair or pair[0] is None or pair[1] is None:
-                continue
-            widening = abs(pair[1]) - abs(pair[0])
-            if widening > 0:
-                cell_widened = True
-            if widening > stats["max_widening"]:
-                stats["max_widening"] = widening
-                stats["worst_group"] = group
-                stats["worst_metric"] = metric
-    if cell_widened:
-        stats["widened"] += 1
 
 
 def _format_eta(seconds: float | None) -> str:
@@ -438,29 +302,6 @@ def render_progress(snapshot: ProgressSnapshot) -> str:
                 f"  {'/'.join(key)}: {int(stats['cells'])} cells, "
                 f"{stats['cells_per_second']:.2f} cells/s"
             )
-    if snapshot.fairness:
-        lines.append(
-            f"fairness (live, {snapshot.fairness_cells} cells audited):"
-        )
-        ranked = sorted(
-            snapshot.fairness.items(),
-            key=lambda kv: (-kv[1]["max_widening"], kv[0]),
-        )
-        for key, stats in ranked[:5]:
-            detail = ""
-            if stats["max_widening"] > 0:
-                detail = (
-                    f", worst +{stats['max_widening']:.3f} "
-                    f"{stats['worst_metric']} on group {stats['worst_group']}"
-                )
-            lines.append(
-                f"  {'/'.join(key)}: {stats['widened']}/{stats['cells']} "
-                f"cells widened a gap{detail}"
-            )
-    if snapshot.alerts:
-        lines.append(f"fairness alerts ({len(snapshot.alerts)}):")
-        for alert in snapshot.alerts[:5]:
-            lines.append(f"  [{alert['rule']}] {alert['message']}")
     if snapshot.workers:
         lines.append("workers:")
         for worker in snapshot.workers:

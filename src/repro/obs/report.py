@@ -1,22 +1,35 @@
 """Run-health reporting from ``trace.jsonl`` + ``failures.jsonl``.
 
-:func:`build_health` folds a run's trace events into a
-:class:`RunHealth` summary — per-phase time breakdown, slowest cells,
-retry/poison/timeout tallies, cache hit rates, injected-fault counts —
-and :func:`render_health_report` renders it as the plain-text report
-behind ``python -m repro obs-report``. The same data is available
-programmatically as :meth:`repro.benchmark.ResultStore.health`.
+:func:`build_health` is the one reducer of trace events: a single pass
+folds a run's events into a :class:`RunHealth` summary — per-phase
+time breakdown with p50/p95, slowest cells, retry/poison/timeout
+tallies, cache hit rates, injected-fault counts, and the progress
+state the in-flight monitor reads (planned totals, merged units,
+cells started/done, per-configuration throughput, each worker track's
+newest heartbeat). :func:`render_health_report` renders it as the
+plain-text report behind ``python -m repro obs-report``; the same data
+is available programmatically as
+:meth:`repro.benchmark.ResultStore.health`. ``monitor``
+(:func:`repro.obs.progress.scan_run`) and ``obs-diff``
+(:func:`repro.obs.diff.diff_runs`) read their numbers from this fold
+too, so the three views cannot disagree.
 
 Phase totals aggregate *span* events by name. Spans nest (a ``unit``
 span contains its ``prepare`` and ``cell`` spans; a ``cell`` contains
 ``tune`` and ``score``), so phase totals are not additive across
 nesting levels — compare siblings, not parents with children.
+
+Event names the fold does not know (such as the per-cell ``fairness``
+events older traces carry) are counted in ``n_events`` and otherwise
+ignored; fairness is read from the store's records instead
+(:func:`repro.obs.audit.build_audit`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -75,7 +88,8 @@ class RunHealth:
     """Aggregated health view of one study run.
 
     Attributes:
-        phase_totals: Per span name: ``{"count", "seconds"}``.
+        phase_totals: Per span name: ``{"count", "seconds", "p50",
+            "p95"}`` — the quantiles are nearest-rank span seconds.
         model_seconds: Total ``cell`` span seconds per model.
         detector_stats: Per detector: ``{"count", "seconds", "flagged"}``.
         repair_stats: Per repair: ``{"count", "seconds"}``.
@@ -93,7 +107,10 @@ class RunHealth:
             attribute on ``cell`` spans).
         retries / recovered / poisoned / timeouts: Executor
             fault-tolerance tally (``recovered`` counts failed units
-            fully reconstructed from their journal shard, no retry).
+            fully reconstructed from their journal shard, no retry;
+            ``poisoned`` counts distinct ``(dataset, error_type,
+            repetition)`` units over ``poison`` events and sidecar
+            entries, so a unit both sources report counts once).
         heartbeats: Flushed liveness events observed (unit/cell
             progress beacons the in-flight monitor tails).
         memory: Per profiled span name (``--profile-memory`` runs):
@@ -109,19 +126,20 @@ class RunHealth:
         gauges: All merged metric gauges, keyed the same way
             (NaN-ignoring max across shards, see
             :mod:`repro.obs.metrics`).
-        fairness_cells: ``fairness`` domain events observed (one per
-            evaluated cell on traced runs, see
-            :func:`repro.obs.audit.cell_fairness`).
-        fairness: Per audited metric abbreviation:
-            ``{"pairs", "widened", "max_widening"}`` — group×cell gap
-            pairs seen, how many the repair widened, and the largest
-            |repaired| − |dirty| widening.
-        worst_widenings: The largest per-cell gap widenings
-            (coordinate, group, metric, dirty/repaired gaps),
-            descending, untruncated — renderers cut to their own
-            top-N.
-        alerts: Fired :class:`repro.obs.rules.AlertRule` violations
-            (deduped per rule × coordinate, worst kept).
+        planned: The newest ``planned`` event's ``units``, ``cells``,
+            ``workers`` and ``backend`` (empty when none was seen).
+        units_merged / records_merged: ``unit_merged`` events and the
+            records they merged.
+        cells_started / cells_done: ``cell_start`` / ``cell_done``
+            heartbeats.
+        throughput: Per ``(dataset, error_type, model)``:
+            ``{"cells", "seconds", "cells_per_second"}`` from
+            ``cell_done`` heartbeats.
+        tracks: Per worker track: ``{"last_ts", "last_phase",
+            "cells_done"}`` — its newest timestamped heartbeat and
+            the cells it finished.
+        first_ts / last_ts: Earliest and latest timestamp over all
+            non-metric events (0 when none carried one).
         failures: Parsed poisoned-unit sidecar entries.
         n_events: Total trace events consumed.
         untraced: True when the summary was built for a store with no
@@ -149,10 +167,17 @@ class RunHealth:
     faults: dict[str, int] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float] = field(default_factory=dict)
-    fairness_cells: int = 0
-    fairness: dict[str, dict[str, float]] = field(default_factory=dict)
-    worst_widenings: list[dict[str, Any]] = field(default_factory=list)
-    alerts: list[dict[str, Any]] = field(default_factory=list)
+    planned: dict[str, Any] = field(default_factory=dict)
+    units_merged: int = 0
+    records_merged: int = 0
+    cells_started: int = 0
+    cells_done: int = 0
+    throughput: dict[tuple[str, str, str], dict[str, float]] = field(
+        default_factory=dict
+    )
+    tracks: dict[str, dict[str, Any]] = field(default_factory=dict)
+    first_ts: float = 0.0
+    last_ts: float = 0.0
     failures: list[dict[str, Any]] = field(default_factory=list)
     n_events: int = 0
     untraced: bool = False
@@ -165,44 +190,18 @@ class RunHealth:
         order events were folded in — audit and ledger diffs of two
         identical runs must never see ordering noise.
         """
-        return _canonical(
-            {
-                "phase_totals": self.phase_totals,
-                "model_seconds": self.model_seconds,
-                "detector_stats": self.detector_stats,
-                "repair_stats": self.repair_stats,
-                "slowest_cells": self.slowest_cells,
-                "tuning": self.tuning,
-                "cache": self.cache,
-                "reuse": self.reuse,
-                "cells_warm_started": self.cells_warm_started,
-                "retries": self.retries,
-                "recovered": self.recovered,
-                "poisoned": self.poisoned,
-                "timeouts": self.timeouts,
-                "heartbeats": self.heartbeats,
-                "memory": self.memory,
-                "peak_rss_bytes": self.peak_rss_bytes,
-                "backoff_seconds": self.backoff_seconds,
-                "faults": self.faults,
-                "counters": self.counters,
-                "gauges": self.gauges,
-                "fairness_cells": self.fairness_cells,
-                "fairness": self.fairness,
-                "worst_widenings": self.worst_widenings,
-                "alerts": self.alerts,
-                "failures": self.failures,
-                "n_events": self.n_events,
-                "untraced": self.untraced,
-            }
-        )
+        return _canonical({f.name: getattr(self, f.name) for f in fields(self)})
 
 
 def _canonical(value: Any) -> Any:
-    """Recursively sort mapping keys; lists keep their (already
-    deterministic) order."""
+    """Recursively sort mapping keys (tuple keys join with ``/``);
+    lists keep their (already deterministic) order."""
     if isinstance(value, dict):
-        return {str(key): _canonical(value[key]) for key in sorted(value, key=str)}
+        keyed = {
+            "/".join(key) if isinstance(key, tuple) else str(key): item
+            for key, item in value.items()
+        }
+        return {key: _canonical(keyed[key]) for key in sorted(keyed)}
     if isinstance(value, (list, tuple)):
         return [_canonical(item) for item in value]
     return value
@@ -215,50 +214,60 @@ def _counter_key(name: str, labels: dict[str, Any]) -> str:
     return f"{name}{{{inner}}}"
 
 
+#: Counters behind the hit rates: name → (RunHealth field, label, side).
+_HIT_RATE_COUNTERS = {
+    "cache_hit": ("cache", "cache", "hits"),
+    "cache_miss": ("cache", "cache", "misses"),
+    "reuse_hit": ("reuse", "kind", "hits"),
+    "reuse_miss": ("reuse", "kind", "misses"),
+}
+
+
+def _percentile(values: list[float], fraction: float) -> float:
+    """Nearest-rank percentile of a non-empty sorted list."""
+    index = min(len(values) - 1, max(0, math.ceil(fraction * len(values)) - 1))
+    return values[index]
+
+
 def build_health(
     events: Sequence[dict[str, Any]],
     failures: Sequence[dict[str, Any]] = (),
-    rules: Sequence[Any] | None = None,
 ) -> RunHealth:
-    """Fold trace events + sidecar entries into a :class:`RunHealth`.
-
-    ``rules`` are :class:`repro.obs.rules.AlertRule` instances
-    evaluated against every ``fairness`` event (default:
-    :data:`repro.obs.rules.DEFAULT_RULES`).
-    """
-    from repro.obs.rules import DEFAULT_RULES, dedupe_alerts, evaluate_gaps
-
-    if rules is None:
-        rules = DEFAULT_RULES
+    """Fold trace events + sidecar entries into a :class:`RunHealth`."""
     health = RunHealth(failures=list(failures), n_events=len(events))
     cells: list[dict[str, Any]] = []
-    alerts: list[Any] = []
+    durations: dict[str, list[float]] = {}
+    metrics: list[dict[str, Any]] = []
+    poisoned = {_unit_key(failure) for failure in health.failures}
     for event in events:
         kind = event.get("kind")
+        if kind == "metric":
+            metrics.append(event)
+            continue
+        ts = float(event.get("ts", 0.0))
+        if ts > 0.0:
+            if health.first_ts == 0.0 or ts < health.first_ts:
+                health.first_ts = ts
+            health.last_ts = max(health.last_ts, ts)
         if kind == "span":
-            _fold_span(health, event, cells)
+            _fold_span(health, event, cells, durations)
         elif kind == "event":
-            _fold_event(health, event)
-            if event.get("name") == "fairness" and rules:
-                attrs = event.get("attrs", {})
-                acc = attrs.get("acc", {})
-                alerts.extend(
-                    evaluate_gaps(
-                        rules,
-                        dataset=str(attrs.get("dataset", "?")),
-                        error_type=str(attrs.get("error_type", "?")),
-                        detection=str(attrs.get("detection", "?")),
-                        repair=str(attrs.get("repair", "?")),
-                        model=str(attrs.get("model", "?")),
-                        gaps=attrs.get("groups", {}),
-                        dirty_acc=acc.get("dirty"),
-                        repaired_acc=acc.get("repaired"),
-                    )
-                )
-    health.alerts = [alert.to_json() for alert in dedupe_alerts(alerts)]
-    for snapshot in merge_metric_events(
-        [event for event in events if event.get("kind") == "metric"]
-    ):
+            _fold_event(health, event, ts, poisoned)
+    health.poisoned = len(poisoned)
+    for name, values in durations.items():
+        total = sum(values)  # in event order, before the sort
+        values.sort()
+        health.phase_totals[name] = {
+            "count": len(values),
+            "seconds": total,
+            "p50": _percentile(values, 0.50),
+            "p95": _percentile(values, 0.95),
+        }
+    for stats in health.throughput.values():
+        stats["cells_per_second"] = (
+            stats["cells"] / stats["seconds"] if stats["seconds"] > 0 else 0.0
+        )
+    for snapshot in merge_metric_events(metrics):
         name = snapshot["name"]
         labels = snapshot.get("labels", {})
         if snapshot["type"] == "gauge":
@@ -266,35 +275,17 @@ def build_health(
         if snapshot["type"] != "counter":
             continue
         health.counters[_counter_key(name, labels)] = snapshot["value"]
-        if name == "cache_hit":
-            cache = health.cache.setdefault(
-                str(labels.get("cache", "?")), {"hits": 0.0, "misses": 0.0}
+        if name in _HIT_RATE_COUNTERS:
+            family, label, side = _HIT_RATE_COUNTERS[name]
+            rates = getattr(health, family).setdefault(
+                str(labels.get(label, "?")), {"hits": 0.0, "misses": 0.0}
             )
-            cache["hits"] += snapshot["value"]
-        elif name == "cache_miss":
-            cache = health.cache.setdefault(
-                str(labels.get("cache", "?")), {"hits": 0.0, "misses": 0.0}
-            )
-            cache["misses"] += snapshot["value"]
-        elif name == "reuse_hit":
-            reuse = health.reuse.setdefault(
-                str(labels.get("kind", "?")), {"hits": 0.0, "misses": 0.0}
-            )
-            reuse["hits"] += snapshot["value"]
-        elif name == "reuse_miss":
-            reuse = health.reuse.setdefault(
-                str(labels.get("kind", "?")), {"hits": 0.0, "misses": 0.0}
-            )
-            reuse["misses"] += snapshot["value"]
+            rates[side] += snapshot["value"]
         elif name == "cells_warm_started":
             health.cells_warm_started += int(snapshot["value"])
-    for cache in health.cache.values():
-        total = cache["hits"] + cache["misses"]
-        cache["hit_rate"] = cache["hits"] / total if total else float("nan")
-    for reuse in health.reuse.values():
-        total = reuse["hits"] + reuse["misses"]
-        reuse["hit_rate"] = reuse["hits"] / total if total else float("nan")
-    health.poisoned += len(health.failures)
+    for rates in (*health.cache.values(), *health.reuse.values()):
+        total = rates["hits"] + rates["misses"]
+        rates["hit_rate"] = rates["hits"] / total if total else float("nan")
     # full tiebreak (not just -seconds) so the order — and therefore
     # the serialised report bytes — is invariant under shard-file
     # permutation, where equal-duration cells arrive in any order
@@ -305,30 +296,27 @@ def build_health(
             json.dumps(cell, sort_keys=True, default=str),
         ),
     )
-    health.worst_widenings.sort(
-        key=lambda entry: (
-            -entry["widening"],
-            entry["coordinate"],
-            entry["repaired_gap"],
-            entry["dirty_gap"],
-        )
-    )
-    # per-cell × group × metric samples; cap so a paper-scale run's
-    # health JSON stays readable (the full detail lives in the audit)
-    del health.worst_widenings[50:]
     return health
 
 
+def _unit_key(payload: dict[str, Any]) -> tuple[str, str, str]:
+    """A work unit's ``(dataset, error_type, repetition)`` identity."""
+    return tuple(
+        str(payload.get(part)) for part in ("dataset", "error_type", "repetition")
+    )
+
+
 def _fold_span(
-    health: RunHealth, event: dict[str, Any], cells: list[dict[str, Any]]
+    health: RunHealth,
+    event: dict[str, Any],
+    cells: list[dict[str, Any]],
+    durations: dict[str, list[float]],
 ) -> None:
     name = event.get("name", "?")
     seconds = float(event.get("seconds", 0.0))
     attrs = event.get("attrs", {})
     counters = event.get("counters", {})
-    totals = health.phase_totals.setdefault(name, {"count": 0, "seconds": 0.0})
-    totals["count"] += 1
-    totals["seconds"] += seconds
+    durations.setdefault(name, []).append(seconds)
     if "mem_delta_bytes" in attrs or "rss_bytes" in attrs:
         memory = health.memory.setdefault(
             name, {"count": 0, "mem_delta_bytes": 0.0, "peak_rss_bytes": 0.0}
@@ -370,58 +358,67 @@ def _fold_span(
         health.tuning[dispatch] = health.tuning.get(dispatch, 0) + 1
 
 
-def _fold_event(health: RunHealth, event: dict[str, Any]) -> None:
+def _fold_event(
+    health: RunHealth,
+    event: dict[str, Any],
+    ts: float,
+    poisoned: set[tuple[str, str, str]],
+) -> None:
     name = event.get("name")
     attrs = event.get("attrs", {})
-    if name == "retry":
-        health.retries += 1
-        if "Timeout" in str(attrs.get("error", "")):
-            health.timeouts += 1
-    elif name == "recovered":
-        health.recovered += 1
-        if "Timeout" in str(attrs.get("error", "")):
-            health.timeouts += 1
-    elif name == "poison":
-        health.poisoned += 1
+    if name in ("retry", "recovered", "poison"):
+        if name == "retry":
+            health.retries += 1
+        elif name == "recovered":
+            health.recovered += 1
+        else:
+            poisoned.add(_unit_key(attrs))
         if "Timeout" in str(attrs.get("error", "")):
             health.timeouts += 1
     elif name == "heartbeat":
         health.heartbeats += 1
-    elif name == "fairness":
-        health.fairness_cells += 1
-        coordinate = "/".join(
-            str(attrs.get(part, "?"))
-            for part in ("dataset", "error_type", "detection", "repair", "model")
-        )
-        for group, gaps in sorted(attrs.get("groups", {}).items()):
-            for metric, pair in sorted(gaps.items()):
-                if not pair or pair[1] is None:
-                    continue
-                stats = health.fairness.setdefault(
-                    metric, {"pairs": 0, "widened": 0, "max_widening": 0.0}
-                )
-                stats["pairs"] += 1
-                if pair[0] is None:
-                    continue
-                widening = abs(pair[1]) - abs(pair[0])
-                if widening > 0:
-                    stats["widened"] += 1
-                stats["max_widening"] = max(stats["max_widening"], widening)
-                health.worst_widenings.append(
-                    {
-                        "coordinate": f"{coordinate}/{group}/{metric}",
-                        "group": group,
-                        "metric": metric,
-                        "dirty_gap": abs(pair[0]),
-                        "repaired_gap": abs(pair[1]),
-                        "widening": widening,
-                    }
-                )
+        _fold_heartbeat(health, event, attrs, ts)
+    elif name == "planned":
+        health.planned = {
+            "units": int(attrs.get("units", 0)),
+            "cells": int(attrs.get("cells", 0)),
+            "workers": int(attrs.get("workers", 0)),
+            "backend": str(attrs.get("backend", "")),
+        }
+    elif name == "unit_merged":
+        health.units_merged += 1
+        health.records_merged += int(attrs.get("records", 0))
     elif name == "backoff_sleep":
         health.backoff_seconds += float(attrs.get("seconds", 0.0))
     elif name == "fault_injected":
         kind = str(attrs.get("fault", "?"))
         health.faults[kind] = health.faults.get(kind, 0) + 1
+
+
+def _fold_heartbeat(
+    health: RunHealth, event: dict[str, Any], attrs: dict[str, Any], ts: float
+) -> None:
+    phase = str(attrs.get("phase", "?"))
+    track = health.tracks.setdefault(
+        str(event.get("w", "?")),
+        {"last_ts": 0.0, "last_phase": "", "cells_done": 0},
+    )
+    if ts > 0.0 and ts >= track["last_ts"]:
+        track["last_ts"] = ts
+        track["last_phase"] = phase
+    if phase == "cell_start":
+        health.cells_started += 1
+    elif phase == "cell_done":
+        health.cells_done += 1
+        track["cells_done"] += 1
+        key = (
+            str(attrs.get("dataset", "?")),
+            str(attrs.get("error_type", "?")),
+            str(attrs.get("model", "?")),
+        )
+        stats = health.throughput.setdefault(key, {"cells": 0.0, "seconds": 0.0})
+        stats["cells"] += 1
+        stats["seconds"] += float(attrs.get("seconds", 0.0))
 
 
 def load_health(
@@ -485,34 +482,6 @@ def render_health_report(health: RunHealth, top: int = 10) -> str:
         f"heartbeats: {health.heartbeats}   "
         f"backoff: {_format_seconds(health.backoff_seconds)}"
     )
-    if health.fairness:
-        lines += [
-            "",
-            f"Fairness telemetry ({health.fairness_cells} cells audited)",
-        ]
-        rows = [
-            (
-                metric,
-                str(int(stats["pairs"])),
-                str(int(stats["widened"])),
-                f"{stats['max_widening']:+.3f}",
-            )
-            for metric, stats in sorted(health.fairness.items())
-        ]
-        lines += _table(
-            ("metric", "gap pairs", "widened by repair", "max widening"), rows
-        )
-        if health.worst_widenings:
-            lines.append("worst gap widenings (repaired vs dirty):")
-            for entry in health.worst_widenings[:5]:
-                lines.append(
-                    f"  {entry['coordinate']}: {entry['dirty_gap']:.3f} -> "
-                    f"{entry['repaired_gap']:.3f} ({entry['widening']:+.3f})"
-                )
-    if health.alerts:
-        lines += ["", f"Fairness alerts ({len(health.alerts)})"]
-        for alert in health.alerts:
-            lines.append(f"  [{alert['rule']}] {alert['message']}")
     if health.memory:
         lines += [
             "",

@@ -4,19 +4,15 @@ A rule is a small frozen dataclass — "the repair must not widen the
 demographic-parity gap beyond ε", "no group's equalized-odds gap may
 exceed ε", "the repair must not cost more than ε accuracy" — with
 optional scope filters over the study coordinates. Rules are evaluated
-in two places against the *same* per-cell fairness payloads:
+in one place: :func:`repro.obs.audit.evaluate_rules`, against the
+per-configuration gaps of a :class:`repro.obs.audit.FairnessAudit`
+built from the store's records. ``obs-audit`` runs it on a finished
+run and, because the store replays journal shards, on an in-flight
+one too.
 
-- live, in :mod:`repro.obs.progress`, against the ``fairness`` events
-  a traced run emits per evaluated cell, so ``python -m repro
-  monitor`` surfaces "cleaning hurt group G on dataset D" while the
-  run is still going; and
-- post-hoc, in :mod:`repro.obs.audit` / :class:`repro.obs.RunHealth`,
-  against the aggregated per-configuration gaps, for ``obs-audit`` and
-  ``obs-report``.
-
-Everything here is stdlib-only and operates on plain dict payloads of
-the shape :func:`repro.obs.audit.cell_fairness` produces, so the rule
-layer never imports the study pipeline.
+Everything here is stdlib-only and operates on plain gap mappings
+(group → metric → ``(dirty, repaired)``), so the rule layer never
+imports the study pipeline.
 """
 
 from __future__ import annotations
@@ -147,7 +143,7 @@ def evaluate_gaps(
     dirty_acc: float | None = None,
     repaired_acc: float | None = None,
 ) -> list[Alert]:
-    """Evaluate rules against one cell's (or configuration's) gaps.
+    """Evaluate rules against one configuration's gaps.
 
     ``gaps`` maps group key → metric abbreviation → ``(dirty,
     repaired)`` absolute-disparity pair; None values (a metric

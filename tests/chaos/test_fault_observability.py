@@ -10,7 +10,10 @@ tracing a chaos run changes nothing about its byte-identical recovery.
 
 import pytest
 
-from repro.testing import Fault, FaultPlan
+from repro.benchmark import ResultStore
+from repro.obs import scan_run
+from repro.testing import Fault, FaultPlan, FaultyExecutor
+from repro.testing.fixtures import chaos_config
 
 pytestmark = pytest.mark.chaos
 
@@ -76,8 +79,9 @@ def test_multi_attempt_fault_observed_once_per_attempt(chaos_study):
 
 
 def test_poisoned_unit_firings_and_sidecar_both_observed(chaos_study):
-    """Exhausting retries: every attempt's firing is observed and the
-    health report counts the poisoned unit from the sidecar too."""
+    """Exhausting retries: every attempt's firing is observed, and the
+    health report counts the poisoned unit once although both the
+    ``poison`` event and the sidecar name it."""
     plan = plan_for("transient_error", repetition=1, attempts=99)
     added = chaos_study.run(plan=plan, workers=2, max_retries=1, trace=True)
     assert added == 1  # the healthy repetition
@@ -88,9 +92,29 @@ def test_poisoned_unit_firings_and_sidecar_both_observed(chaos_study):
     # max_retries=1 -> attempts 0 and 1 both fire before poisoning
     assert health.faults == {"transient_error": 2}
     assert health.retries == 1
-    assert health.poisoned == 2  # poison event + sidecar entry
+    assert health.poisoned == 1
     assert len(health.failures) == 1
     assert health.failures[0]["repetition"] == 1
+
+
+def test_report_and_monitor_count_a_poisoned_unit_once(tmp_path):
+    """``obs-report`` (``ResultStore.health``) and ``monitor``
+    (``scan_run``) read the same fold, so a serial traced run that
+    poisons one unit reports it once in both."""
+    plan = FaultPlan(
+        (Fault("transient_error", "german", "mislabels", 0, attempts=99),)
+    )
+    store_path = tmp_path / "chaos.json"
+    added = FaultyExecutor(plan, max_retries=1, backoff_base=0.0, trace=True).run(
+        chaos_config(),
+        ResultStore(store_path),
+        workers=1,
+        datasets=("german",),
+        error_types=("mislabels",),
+    )
+    assert added == 1  # the healthy repetition
+    assert ResultStore(store_path).health().poisoned == 1
+    assert scan_run(store_path).poisoned_units == 1
 
 
 def test_untraced_chaos_run_leaves_no_trace_files(chaos_study):

@@ -84,13 +84,13 @@ def test_store_bytes_match_golden_with_full_telemetry(tmp_path):
 
 
 def test_store_bytes_match_golden_with_fairness_telemetry_and_ledger(tmp_path):
-    """Fairness events + the run ledger must be byte-invisible too.
+    """Tracing + the run ledger must be byte-invisible too.
 
-    The golden slice runs with tracing on (which now emits a
-    ``fairness`` event per record) and its audit appended to the run
-    ledger; the store fingerprint must stay identical to the fixture —
-    fairness telemetry lives in trace sidecars and the ledger only.
-    A second audit of the identical bytes must also diff clean.
+    The golden slice runs with tracing on and its fairness audit
+    appended to the run ledger; the store fingerprint must stay
+    identical to the fixture — telemetry lives in the trace sidecar
+    and the ledger only. A second audit of the identical bytes must
+    also diff clean.
     """
     from repro.obs import build_audit, diff_audits
 
@@ -98,9 +98,7 @@ def test_store_bytes_match_golden_with_fairness_telemetry_and_ledger(tmp_path):
     store = ResultStore(store_path)
     run_golden_slice(store, trace=True, ledger=True)
 
-    events = obs.read_trace_events([tmp_path / "study.trace.jsonl"])
-    fairness_events = [e for e in events if e.get("name") == "fairness"]
-    assert len(fairness_events) == len(store)
+    assert (tmp_path / "study.trace.jsonl").stat().st_size > 0
     assert (tmp_path / "study.ledger.jsonl").exists()
     assert store.journal_paths() == []  # the ledger is not a journal
 
@@ -109,9 +107,9 @@ def test_store_bytes_match_golden_with_fairness_telemetry_and_ledger(tmp_path):
     assert actual.keys() == golden.keys()
     diverged = [name for name in golden if actual[name] != golden[name]]
     assert not diverged, (
-        f"store bytes diverged from golden in {diverged} with fairness "
-        "telemetry and the run ledger enabled; fairness outcomes must "
-        "only ever land in sidecars"
+        f"store bytes diverged from golden in {diverged} with tracing "
+        "and the run ledger enabled; telemetry must only ever land in "
+        "sidecars"
     )
 
     # self-diff discipline: auditing the same bytes twice reports

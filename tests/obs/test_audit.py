@@ -6,12 +6,10 @@ import pytest
 
 from repro.benchmark import ResultStore, RunRecord
 from repro.obs import (
-    AUDIT_METRICS,
     AlertRule,
     FairnessAudit,
     GroupAudit,
     build_audit,
-    cell_fairness,
     diff_audits,
     evaluate_rules,
     render_audit,
@@ -61,32 +59,6 @@ def store_with(*records):
     for record in records:
         store.add(record)
     return store
-
-
-# -- cell_fairness ----------------------------------------------------
-
-
-def test_cell_fairness_signed_disparities_and_acc():
-    payload = cell_fairness(make_metrics(), "impute_mean_mode")
-    assert payload["acc"] == {"dirty": 0.80, "repaired": 0.75}
-    dp = payload["groups"]["sex"]["DP"]
-    # DP = privileged − disadvantaged selection rate, signed
-    assert dp[0] == pytest.approx(0.2)
-    assert dp[1] == pytest.approx(0.3)
-    assert set(payload["groups"]["sex"]) == set(AUDIT_METRICS)
-
-
-def test_cell_fairness_nan_maps_to_none():
-    # disadvantaged group with zero actual positives: recall undefined
-    payload = cell_fairness(
-        make_metrics(repaired_dis=(10, 10, 0, 0)), "impute_mean_mode"
-    )
-    assert payload["groups"]["sex"]["EO"][1] is None
-    assert json.loads(json.dumps(payload)) == payload  # strict JSON
-
-
-def test_cell_fairness_returns_none_without_group_counts():
-    assert cell_fairness({"dirty_test_acc": 0.8}, "impute_mean_mode") is None
 
 
 # -- build_audit ------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.obs import diff_runs, diff_stores, render_diff, span_stats
+from repro.obs import build_health, diff_runs, diff_stores, render_diff
 
 
 def span(name, seconds):
@@ -27,26 +27,26 @@ def entries_by_name(diff):
     return {f"{entry.kind}:{entry.name}": entry for entry in diff.entries}
 
 
-# -- span_stats ---------------------------------------------------------
+# -- span stats: build_health's phase totals ---------------------------
 
 
 def test_span_stats_quantiles_nearest_rank():
     events = [span("cell", float(i)) for i in range(1, 101)]  # 1..100
-    stats = span_stats(events)["cell"]
+    stats = build_health(events).phase_totals["cell"]
     assert stats["count"] == 100.0
-    assert stats["mean"] == pytest.approx(50.5)
+    assert stats["seconds"] / stats["count"] == pytest.approx(50.5)
     assert stats["p50"] == 50.0
     assert stats["p95"] == 95.0
-    assert stats["total"] == pytest.approx(5050.0)
+    assert stats["seconds"] == pytest.approx(5050.0)
 
 
 def test_span_stats_single_observation():
-    stats = span_stats([span("unit", 2.0)])["unit"]
-    assert stats["p50"] == stats["p95"] == stats["mean"] == 2.0
+    stats = build_health([span("unit", 2.0)]).phase_totals["unit"]
+    assert stats["p50"] == stats["p95"] == stats["seconds"] / stats["count"] == 2.0
 
 
 def test_span_stats_ignores_non_span_events():
-    assert span_stats([counter("timeouts", 1.0)]) == {}
+    assert build_health([counter("timeouts", 1.0)]).phase_totals == {}
 
 
 # -- diff_runs ----------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import ProgressSnapshot, render_progress, scan_run
+from repro.obs import ProgressSnapshot, load_health, render_progress, scan_run
 from repro.obs.progress import monitor_run, trace_files
 
 
@@ -347,34 +347,20 @@ def test_render_clamps_replayed_heartbeats_to_100_percent(tmp_path):
     assert "cells: 3/2 (100%)" in text
 
 
-# -- live fairness telemetry ------------------------------------------
+# -- one fold: legacy fairness events, agreement with build_health -----
 
 
 def test_scan_folds_fairness_events(run_dir, tmp_path):
+    """``fairness`` events that older traces carry are folded as unknown
+    events: the snapshot equals the one without them."""
+    before = scan_run(run_dir, now=125.0).to_json()
     write_events(
         tmp_path / "study.trace.w4.jsonl",
         [fairness_event(111.0), fairness_event(112.0, repetition=1)],
     )
-    snapshot = scan_run(run_dir, now=125.0)
-    assert snapshot.fairness_cells == 2
-    key = ("german", "mislabels", "log_reg", "flip_labels")
-    stats = snapshot.fairness[key]
-    assert stats["cells"] == 2
-    assert stats["widened"] == 2
-    assert stats["max_widening"] == pytest.approx(0.20)
-    assert stats["worst_group"] == "sex"
-    assert stats["worst_metric"] == "DP"
-    # the sex/DP widening (0.05 -> 0.25) trips the default DP rule
-    assert any(alert["rule"] == "dp-not-widened" for alert in snapshot.alerts)
-
-
-def test_render_progress_shows_fairness_and_alerts(run_dir, tmp_path):
-    write_events(tmp_path / "study.trace.w4.jsonl", [fairness_event(111.0)])
-    text = render_progress(scan_run(run_dir, now=125.0))
-    assert "fairness (live, 1 cells audited):" in text
-    assert "german/mislabels/log_reg/flip_labels" in text
-    assert "worst +0.200 DP on group sex" in text
-    assert "[dp-not-widened]" in text
+    after = scan_run(run_dir, now=125.0).to_json()
+    assert after == before
+    assert not any("fairness" in key for key in after)
 
 
 def test_fairness_snapshot_json_is_serialisable_and_sorted(run_dir, tmp_path):
@@ -384,6 +370,30 @@ def test_fairness_snapshot_json_is_serialisable_and_sorted(run_dir, tmp_path):
     )
     payload = scan_run(run_dir, now=125.0).to_json()
     assert json.loads(json.dumps(payload)) == payload
-    keys = list(payload["fairness"])
+    keys = list(payload["throughput"])
     assert keys == sorted(keys)
-    assert payload["fairness_cells"] == 2
+    assert [worker["track"] for worker in payload["workers"]] == ["w2", "w3"]
+
+
+def test_scan_run_and_build_health_agree_on_tallies(run_dir, tmp_path):
+    unit = {"dataset": "german", "error_type": "mislabels", "repetition": 1}
+    write_events(
+        tmp_path / "study.trace.w5.jsonl",
+        [
+            {"v": 1, "kind": "event", "name": name, "ts": 115.0 + i, "w": "w5",
+             "attrs": {**unit, "attempt": 1, "error": "RuntimeError: x"}}
+            for i, name in enumerate(("retry", "recovered", "retry", "poison"))
+        ],
+    )
+    failures = tmp_path / "study.failures.jsonl"
+    failures.write_text(json.dumps({**unit, "attempts": 2}) + "\n")
+    snapshot = scan_run(run_dir, now=125.0)
+    health = load_health(trace_files(run_dir), failures)
+    assert (
+        snapshot.retries,
+        snapshot.recovered,
+        snapshot.poisoned_units,
+        snapshot.heartbeats,
+    ) == (health.retries, health.recovered, health.poisoned, health.heartbeats)
+    assert (health.retries, health.recovered, health.poisoned) == (2, 1, 1)
+    assert health.heartbeats == 5

@@ -102,7 +102,12 @@ SYNTHETIC_EVENTS = [
 def test_build_health_folds_all_event_kinds():
     health = build_health(SYNTHETIC_EVENTS)
     assert health.n_events == len(SYNTHETIC_EVENTS)
-    assert health.phase_totals["cell"] == {"count": 2, "seconds": 1.0}
+    assert health.phase_totals["cell"] == {
+        "count": 2,
+        "seconds": 1.0,
+        "p50": 0.4,
+        "p95": 0.6,
+    }
     assert health.model_seconds == {"log_reg": 0.4, "knn": 0.6}
     assert health.detector_stats["cleanlab"]["flagged"] == 40
     assert health.repair_stats["flip_labels"]["count"] == 1
@@ -193,7 +198,8 @@ def test_load_health_reads_shards_and_sidecar(tmp_path):
     )
     health = load_health([trace], failures)
     assert health.n_events == len(SYNTHETIC_EVENTS)
-    assert health.poisoned == 2  # poison event + sidecar entry
+    # the poison event and the sidecar entry name the same unit
+    assert health.poisoned == 1
 
 
 def test_default_run_health_is_empty():
@@ -203,7 +209,8 @@ def test_default_run_health_is_empty():
     assert health.to_json()["untraced"] is False
 
 
-def fairness_point(model="log_reg", groups=None):
+def fairness_point(model="log_reg"):
+    """A per-cell ``fairness`` event as older traces carry it."""
     return point_event(
         "fairness",
         dataset="german",
@@ -214,8 +221,7 @@ def fairness_point(model="log_reg", groups=None):
         repetition=0,
         seed=0,
         acc={"dirty": 0.8, "repaired": 0.7},
-        groups=groups
-        or {
+        groups={
             "sex": {"DP": [0.05, 0.30], "EO": [0.10, 0.05]},
             "age": {"DP": [0.02, None]},
         },
@@ -223,26 +229,64 @@ def fairness_point(model="log_reg", groups=None):
 
 
 def test_build_health_folds_fairness_events():
-    health = build_health([fairness_point(), fairness_point(model="knn")])
-    assert health.fairness_cells == 2
-    dp = health.fairness["DP"]
-    assert dp["pairs"] == 2  # age's None pair never counts
-    assert dp["widened"] == 2
-    assert dp["max_widening"] == 0.25
-    assert health.fairness["EO"]["widened"] == 0
-    worst = health.worst_widenings[0]
-    assert worst["coordinate"].endswith("/sex/DP")
-    assert worst["widening"] == 0.25
-    # the default DP rule fires on the 0.25 widening
-    assert any(a["rule"] == "dp-not-widened" for a in health.alerts)
+    """Traces written before the per-cell ``fairness`` event was dropped
+    still fold: the events count in ``n_events`` and change nothing else."""
+    legacy = [fairness_point(), fairness_point(model="knn")]
+    health = build_health([*SYNTHETIC_EVENTS, *legacy]).to_json()
+    plain = build_health(SYNTHETIC_EVENTS).to_json()
+    assert health.pop("n_events") == plain.pop("n_events") + 2
+    assert health == plain
+    assert not any("fairness" in key for key in health)
 
 
-def test_render_health_report_shows_fairness_sections():
-    report = render_health_report(build_health([fairness_point()]))
-    assert "Fairness telemetry (1 cells audited)" in report
-    assert "worst gap widenings" in report
-    assert "Fairness alerts" in report
-    assert "[dp-not-widened]" in report
+def test_poisoned_unit_counts_once_across_event_and_sidecar():
+    unit = {"dataset": "german", "error_type": "mislabels", "repetition": 1}
+    other = {"dataset": "german", "error_type": "mislabels", "repetition": 2}
+    events = [
+        point_event("poison", attempts=2, error="RuntimeError: x", **unit),
+        point_event("poison", attempts=2, error="RuntimeError: x", **unit),
+    ]
+    failures = [{**unit, "attempts": 2}, {**other, "attempts": 2}]
+    assert build_health(events).poisoned == 1
+    assert build_health([], failures).poisoned == 2
+    assert build_health(events, failures).poisoned == 2
+
+
+def test_build_health_folds_progress_state():
+    def at(ts, track, event):
+        return {**event, "ts": ts, "w": track}
+
+    done = {"dataset": "german", "error_type": "mislabels", "model": "knn"}
+    events = [
+        at(5.0, "w1", point_event("planned", units=2, cells=4, workers=2,
+                                  backend="process", transport="pickle")),
+        at(6.0, "w2", point_event("heartbeat", phase="cell_start")),
+        at(9.0, "w2", point_event("heartbeat", phase="cell_done",
+                                  seconds=3.0, **done)),
+        at(7.0, "w2", point_event("heartbeat", phase="cell_start")),
+        at(8.0, "w1", point_event("unit_merged", records=2)),
+        point_event("heartbeat", phase="unit_start"),  # untimed
+    ]
+    health = build_health(events)
+    assert health.planned == {
+        "units": 2, "cells": 4, "workers": 2, "backend": "process"
+    }
+    assert (health.cells_started, health.cells_done) == (2, 1)
+    assert (health.units_merged, health.records_merged) == (1, 2)
+    assert health.heartbeats == 4
+    assert health.throughput == {
+        ("german", "mislabels", "knn"): {
+            "cells": 1.0, "seconds": 3.0, "cells_per_second": 1 / 3.0
+        }
+    }
+    # the newest heartbeat wins even when an older one is read later
+    assert health.tracks["w2"] == {
+        "last_ts": 9.0, "last_phase": "cell_done", "cells_done": 1
+    }
+    assert health.tracks["?"]["last_ts"] == 0.0
+    assert (health.first_ts, health.last_ts) == (5.0, 9.0)
+    payload = health.to_json()
+    assert list(payload["throughput"]) == ["german/mislabels/knn"]
 
 
 def test_render_untraced_banner():

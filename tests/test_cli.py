@@ -197,6 +197,31 @@ def test_out_of_bounds_study_sizes_are_usage_errors(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ["rq1", "--seed", "-1"],
+            "repro rq1: error: argument --seed: must be >= 0, got -1",
+        ),
+        (
+            ["rq1", "--dataset", "german", "--n-rows", "5"],
+            "repro rq1: error: argument --n-rows: german: class 0 has only "
+            "3 examples for 5 folds",
+        ),
+    ],
+)
+def test_rq1_bad_inputs_are_usage_errors(capsys, argv, message):
+    """A negative seed, or too few rows for the detectors' folds, exits
+    2 with an argparse message instead of a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_study_accepts_no_trace_default(tmp_path):
     args = build_parser().parse_args(
         ["study", "--store", "s.json", "--no-trace"]
@@ -665,6 +690,48 @@ def test_obs_audit_json_and_markdown(telemetry_study, tmp_path, capsys):
     assert document.startswith("# Fairness audit")
     assert "No fairness regressions" in document
     assert "## Audited coordinates" in document
+
+
+def test_obs_audit_is_the_read_only_live_fairness_view(tmp_path, capsys):
+    """``obs-audit`` on a run stopped mid-study audits every journaled
+    record and creates or modifies no file, so it serves as the live
+    fairness view of an in-flight run."""
+    import json
+
+    from repro.benchmark import ResultStore, StudyAborted
+    from repro.testing import FaultyExecutor
+    from repro.testing.fixtures import chaos_config
+
+    store_path = tmp_path / "live.json"
+    store = ResultStore(store_path)
+    with pytest.raises(StudyAborted):
+        FaultyExecutor(abort_after_units=2, trace=True).run(
+            chaos_config(n_repetitions=3),
+            store,
+            workers=1,
+            datasets=("german",),
+            error_types=("mislabels",),
+        )
+    assert not store_path.exists()  # only journal shards hold records
+    journaled = sum(
+        1
+        for path in store.journal_paths()
+        for line in path.read_text().splitlines()
+        if line.strip()
+    )
+    assert journaled == 2
+
+    def listing():
+        return {
+            path: (path.stat().st_size, path.stat().st_mtime_ns)
+            for path in tmp_path.rglob("*")
+        }
+
+    before = listing()
+    assert main(["obs-audit", str(store_path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["audit"]["n_records"] == journaled
+    assert listing() == before
 
 
 def test_obs_audit_gate_fires_on_injected_regression(
