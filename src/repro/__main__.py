@@ -399,7 +399,11 @@ def _cmd_obs_audit(args: argparse.Namespace) -> int:
     alerts = evaluate_rules(rules, audit)
     diff = None
     if args.baseline:
-        baseline = resolve_baseline(args.store, args.baseline)
+        try:
+            baseline = resolve_baseline(args.store, args.baseline)
+        except ValueError as error:
+            print(f"cannot compare against baseline {args.baseline!r}: {error}")
+            return 1
         if baseline is None:
             print(
                 f"cannot resolve baseline {args.baseline!r}; pin one with "
@@ -407,13 +411,7 @@ def _cmd_obs_audit(args: argparse.Namespace) -> int:
                 "baseline file"
             )
             return 1
-        diff = diff_audits(
-            baseline,
-            audit,
-            threshold=args.threshold,
-            min_gap=args.min_gap,
-            alpha=args.alpha,
-        )
+        diff = diff_audits(baseline, audit)
     if args.markdown:
         from repro.reporting import render_fairness_audit
 
@@ -756,26 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
         "ledger",
     )
     obs_audit.add_argument(
-        "--threshold",
-        type=_positive_float,
-        default=0.10,
-        help="relative gap change required to flag a coordinate "
-        "(default 0.10)",
-    )
-    obs_audit.add_argument(
-        "--min-gap",
-        type=_positive_float,
-        default=0.02,
-        help="absolute gap-change floor in disparity points under which "
-        "differences count as noise (default 0.02)",
-    )
-    obs_audit.add_argument(
-        "--alpha",
-        type=_positive_float,
-        default=0.05,
-        help="significance level of the G² evidence gate (default 0.05)",
-    )
-    obs_audit.add_argument(
         "--rules",
         help="JSON alert-rule file (default: the built-in rules)",
     )
@@ -802,8 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs_audit.add_argument(
         "--fail-on-fairness-regression",
         action="store_true",
-        help="exit 3 when any coordinate regresses vs the baseline "
-        "(CI gate; requires --baseline)",
+        help="exit 3 when any fairness verdict moves toward worse vs the "
+        "baseline (CI gate; requires --baseline)",
     )
     obs_audit.set_defaults(func=_cmd_obs_audit)
 

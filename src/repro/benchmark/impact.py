@@ -19,8 +19,9 @@ from repro.benchmark.results import ResultStore, RunRecord
 from repro.fairness.confusion import (
     confusion_from_store_keys,
     group_key_fragments,
+    group_keys_in_metrics,
 )
-from repro.fairness.metrics import FAIRNESS_METRICS, FairnessMetric
+from repro.fairness.metrics import ALL_FAIRNESS_METRICS, FairnessMetric
 from repro.ml.metrics import ConfusionMatrix
 from repro.stats.impact import Impact, classify_impact
 
@@ -35,27 +36,38 @@ HYPOTHESES_PER_ERROR_TYPE = {
 _IMPACT_ORDER = (Impact.WORSE, Impact.INSIGNIFICANT, Impact.BETTER)
 
 
-def _group_fragments(group_key: str) -> tuple[str, str]:
-    """Result-store key fragments for a group spec key."""
-    return group_key_fragments(group_key)
+def _group_confusions(
+    record: RunRecord, technique: str, group_key: str
+) -> tuple[ConfusionMatrix | None, ConfusionMatrix | None]:
+    """A record's (privileged, disadvantaged) counts for one group."""
+    return tuple(
+        confusion_from_store_keys(record.metrics, technique, fragment)
+        for fragment in group_key_fragments(group_key)
+    )
 
 
-def _confusion_from_metrics(
-    metrics: dict, technique: str, fragment: str
-) -> ConfusionMatrix | None:
-    return confusion_from_store_keys(metrics, technique, fragment)
+def _metric_value(
+    privileged: ConfusionMatrix | None,
+    disadvantaged: ConfusionMatrix | None,
+    metric: FairnessMetric,
+) -> float:
+    if privileged is None or disadvantaged is None:
+        return float("nan")
+    return metric(privileged, disadvantaged)
 
 
 def fairness_value(
     record: RunRecord, technique: str, group_key: str, metric: FairnessMetric
 ) -> float:
     """Evaluate a fairness metric from a record's stored counts."""
-    priv_fragment, dis_fragment = _group_fragments(group_key)
-    privileged = _confusion_from_metrics(record.metrics, technique, priv_fragment)
-    disadvantaged = _confusion_from_metrics(record.metrics, technique, dis_fragment)
-    if privileged is None or disadvantaged is None:
+    return _metric_value(*_group_confusions(record, technique, group_key), metric)
+
+
+def _mean_magnitude(values: np.ndarray) -> float:
+    """Mean |value| over the defined entries (NaN when none is)."""
+    if np.isnan(values).all():
         return float("nan")
-    return metric(privileged, disadvantaged)
+    return float(np.nanmean(np.abs(values)))
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,9 @@ class ConfigurationImpact:
         n_runs: Number of paired runs behind the classification.
         mean_dirty_fairness / mean_clean_fairness: Mean |disparity|.
         mean_dirty_accuracy / mean_clean_accuracy: Mean accuracies.
+        fairness_p_value / accuracy_p_value: Two-sided paired-t
+            p-values behind the two verdicts (before the Bonferroni
+            division, which moves the bar, not the test).
     """
 
     dataset: str
@@ -86,6 +101,8 @@ class ConfigurationImpact:
     mean_clean_fairness: float
     mean_dirty_accuracy: float
     mean_clean_accuracy: float
+    fairness_p_value: float
+    accuracy_p_value: float
 
     @property
     def intersectional(self) -> bool:
@@ -151,13 +168,11 @@ class ImpactAnalysis:
         Args:
             error_type: The error type to analyse.
             metric_name: Key into the fairness-metric registry
-                (``PP`` or ``EO``).
+                (the paper's tables use ``PP`` and ``EO``).
             intersectional: Use intersectional group definitions
                 instead of single-attribute ones.
             datasets / models: Optional filters.
         """
-        metric = FAIRNESS_METRICS[metric_name]
-        n_hypotheses = HYPOTHESES_PER_ERROR_TYPE.get(error_type, 1)
         impacts = []
         for dataset, detection, repair, model in self._configurations(
             error_type, datasets, models
@@ -173,21 +188,12 @@ class ImpactAnalysis:
             )
             if not records:
                 continue
-            for group_key in self._group_keys(records[0], repair, intersectional):
-                impacts.append(
-                    self._classify(
-                        records,
-                        dataset,
-                        group_key,
-                        metric_name,
-                        metric,
-                        model,
-                        error_type,
-                        detection,
-                        repair,
-                        n_hypotheses,
-                    )
-                )
+            group_keys = [
+                key
+                for key in group_keys_in_metrics(records[0].metrics, repair)
+                if ("_x_" in key) == intersectional
+            ]
+            impacts.extend(self.classify(records, group_keys, (metric_name,)))
         return impacts
 
     def matrix(
@@ -205,6 +211,80 @@ class ImpactAnalysis:
         ):
             matrix.add(impact.fairness_impact, impact.accuracy_impact)
         return matrix
+
+    def classify(
+        self,
+        records: list[RunRecord],
+        group_keys: list[str],
+        metric_names: tuple[str, ...],
+    ) -> list[ConfigurationImpact]:
+        """Classify one configuration for every group key × metric.
+
+        ``records`` are all runs of one (dataset, error type,
+        detection, repair, model) configuration, in pairing order.
+        Each record's group counts are read once per group key for all
+        metrics, and the accuracy test runs once for the configuration.
+        Returns impacts in (group key, metric) order.
+        """
+        if not group_keys:
+            return []
+        first = records[0]
+        repair = first.repair
+        n_hypotheses = HYPOTHESES_PER_ERROR_TYPE.get(first.error_type, 1)
+        dirty_accuracy = np.array(
+            [float(r.metrics["dirty_test_acc"]) for r in records]
+        )
+        clean_accuracy = np.array(
+            [float(r.metrics[f"{repair}_test_acc"]) for r in records]
+        )
+        accuracy = classify_impact(
+            dirty_accuracy,
+            clean_accuracy,
+            higher_is_better=True,
+            alpha=self.alpha,
+            n_hypotheses=n_hypotheses,
+        )
+        impacts = []
+        for group_key in group_keys:
+            dirty_pairs = [_group_confusions(r, "dirty", group_key) for r in records]
+            clean_pairs = [_group_confusions(r, repair, group_key) for r in records]
+            for metric_name in metric_names:
+                metric = ALL_FAIRNESS_METRICS[metric_name]
+                dirty_fairness = np.array(
+                    [_metric_value(*pair, metric) for pair in dirty_pairs]
+                )
+                clean_fairness = np.array(
+                    [_metric_value(*pair, metric) for pair in clean_pairs]
+                )
+                fairness = classify_impact(
+                    dirty_fairness,
+                    clean_fairness,
+                    higher_is_better=False,
+                    use_magnitude=True,
+                    alpha=self.alpha,
+                    n_hypotheses=n_hypotheses,
+                )
+                impacts.append(
+                    ConfigurationImpact(
+                        dataset=first.dataset,
+                        group_key=group_key,
+                        metric_name=metric_name,
+                        model=first.model,
+                        error_type=first.error_type,
+                        detection=first.detection,
+                        repair=repair,
+                        fairness_impact=fairness.impact,
+                        accuracy_impact=accuracy.impact,
+                        n_runs=len(records),
+                        mean_dirty_fairness=_mean_magnitude(dirty_fairness),
+                        mean_clean_fairness=_mean_magnitude(clean_fairness),
+                        mean_dirty_accuracy=float(np.mean(dirty_accuracy)),
+                        mean_clean_accuracy=float(np.mean(clean_accuracy)),
+                        fairness_p_value=fairness.p_value,
+                        accuracy_p_value=accuracy.p_value,
+                    )
+                )
+        return impacts
 
     # -- internals ---------------------------------------------------------
 
@@ -224,86 +304,3 @@ class ImpactAnalysis:
             if key not in seen:
                 seen.add(key)
                 yield key
-
-    @staticmethod
-    def _group_keys(
-        record: RunRecord, repair: str, intersectional: bool
-    ) -> list[str]:
-        """Recover the group keys present in a record's metric keys."""
-        keys = set()
-        prefix = f"{repair}__"
-        for metric_key in record.metrics:
-            if not metric_key.startswith(prefix) or not metric_key.endswith("__tp"):
-                continue
-            fragment = metric_key[len(prefix) : -len("__tp")]
-            parts = fragment.split("__")
-            if len(parts) == 2 and all(part.endswith("_priv") for part in parts):
-                if intersectional:
-                    keys.add(
-                        parts[0][: -len("_priv")] + "_x_" + parts[1][: -len("_priv")]
-                    )
-            elif len(parts) == 1 and parts[0].endswith("_priv"):
-                if not intersectional:
-                    keys.add(parts[0][: -len("_priv")])
-        return sorted(keys)
-
-    def _classify(
-        self,
-        records: list[RunRecord],
-        dataset: str,
-        group_key: str,
-        metric_name: str,
-        metric: FairnessMetric,
-        model: str,
-        error_type: str,
-        detection: str,
-        repair: str,
-        n_hypotheses: int,
-    ) -> ConfigurationImpact:
-        dirty_fairness = np.array(
-            [fairness_value(r, "dirty", group_key, metric) for r in records]
-        )
-        clean_fairness = np.array(
-            [fairness_value(r, repair, group_key, metric) for r in records]
-        )
-        dirty_accuracy = np.array(
-            [float(r.metrics["dirty_test_acc"]) for r in records]
-        )
-        clean_accuracy = np.array(
-            [float(r.metrics[f"{repair}_test_acc"]) for r in records]
-        )
-        fairness_impact = classify_impact(
-            dirty_fairness,
-            clean_fairness,
-            higher_is_better=False,
-            use_magnitude=True,
-            alpha=self.alpha,
-            n_hypotheses=n_hypotheses,
-        )
-        accuracy_impact = classify_impact(
-            dirty_accuracy,
-            clean_accuracy,
-            higher_is_better=True,
-            alpha=self.alpha,
-            n_hypotheses=n_hypotheses,
-        )
-        return ConfigurationImpact(
-            dataset=dataset,
-            group_key=group_key,
-            metric_name=metric_name,
-            model=model,
-            error_type=error_type,
-            detection=detection,
-            repair=repair,
-            fairness_impact=fairness_impact,
-            accuracy_impact=accuracy_impact,
-            n_runs=len(records),
-            mean_dirty_fairness=float(np.nanmean(np.abs(dirty_fairness)))
-            if not np.isnan(dirty_fairness).all()
-            else float("nan"),
-            mean_clean_fairness=float(np.nanmean(np.abs(clean_fairness)))
-            if not np.isnan(clean_fairness).all()
-            else float("nan"),
-            mean_dirty_accuracy=float(np.mean(dirty_accuracy)),
-            mean_clean_accuracy=float(np.mean(clean_accuracy)),
-        )

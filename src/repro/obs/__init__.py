@@ -27,9 +27,10 @@ to this reproduction):
   between two :class:`RunHealth` folds: ``python -m repro obs-diff``.
 - :mod:`repro.obs.audit` — fairness outcomes as first-class telemetry,
   read from the store's records only: :class:`FairnessAudit` run
-  summaries, alert-rule evaluation, and baseline diffs with dual noise
-  thresholds plus a G² evidence gate: ``python -m repro obs-audit``
-  (on a finished or an in-flight run).
+  summaries holding the paper's paired-t verdicts per configuration,
+  alert-rule evaluation, and baseline diffs that flag a fairness
+  verdict moving toward worse: ``python -m repro obs-audit`` (on a
+  finished or an in-flight run).
 - :mod:`repro.obs.ledger` — the append-only ``{stem}.ledger.jsonl``
   run ledger with pinned baselines: ``python -m repro obs-baseline``.
 - :mod:`repro.obs.rules` — declarative fairness alert rules, evaluated

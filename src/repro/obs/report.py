@@ -233,12 +233,18 @@ def build_health(
     events: Sequence[dict[str, Any]],
     failures: Sequence[dict[str, Any]] = (),
 ) -> RunHealth:
-    """Fold trace events + sidecar entries into a :class:`RunHealth`."""
-    health = RunHealth(failures=list(failures), n_events=len(events))
+    """Fold trace events + sidecar entries into a :class:`RunHealth`.
+
+    The failures sidecar is append-only, so a unit poisoned again by a
+    re-run has one entry per run; only the newest entry per unit is
+    kept.
+    """
+    newest = {_unit_key(failure): failure for failure in failures}
+    health = RunHealth(failures=list(newest.values()), n_events=len(events))
     cells: list[dict[str, Any]] = []
     durations: dict[str, list[float]] = {}
     metrics: list[dict[str, Any]] = []
-    poisoned = {_unit_key(failure) for failure in health.failures}
+    poisoned = set(newest)
     for event in events:
         kind = event.get("kind")
         if kind == "metric":

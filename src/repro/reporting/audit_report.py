@@ -24,6 +24,12 @@ def _fmt_delta(value: float | None, digits: int = 3) -> str:
     return f"{value:+.{digits}f}"
 
 
+def _fmt_verdict(verdict: Any) -> str:
+    if verdict is None:
+        return "—"
+    return f"{verdict[0]} (p={verdict[1]:.4f})"
+
+
 def _alert_json(alert: Any) -> dict[str, Any]:
     if isinstance(alert, dict):
         return alert
@@ -41,9 +47,9 @@ def render_fairness_audit(
 
     ``audit`` needs ``metrics``, ``n_records`` and ``groups`` (each
     group exposing ``coordinate``, ``n_runs``, ``dirty_acc``,
-    ``repaired_acc``, ``gaps`` and ``widening(metric)``); ``diff``
-    needs ``regressions`` / ``improvements`` / ``findings`` (see
-    :class:`repro.obs.AuditDiff`); ``alerts`` are
+    ``repaired_acc``, ``gaps``, ``fairness`` and ``widening(metric)``);
+    ``diff`` needs ``regressions`` / ``improvements`` / ``underpowered``
+    (see :class:`repro.obs.AuditDiff`); ``alerts`` are
     :class:`repro.obs.Alert` objects or their ``to_json`` payloads.
     """
     alerts = [_alert_json(alert) for alert in alerts]
@@ -65,39 +71,35 @@ def render_fairness_audit(
             else "**No fairness regressions** vs baseline"
         )
         lines.append(
-            f"{verdict} (|Δgap| ≥ {diff.min_gap:g} and relative ≥ "
-            f"{diff.threshold:g} and G² significant at α={diff.alpha:g}); "
-            f"{len(improvements)} significant improvement(s)."
+            f"{verdict} (a paired t-test fairness verdict moved toward "
+            f"worse); {len(improvements)} verdict(s) moved toward better."
         )
+        if diff.underpowered:
+            lines.append(
+                f"{diff.underpowered} coordinate(s) have fewer than 2 paired "
+                "runs, so their verdicts are always insignificant."
+            )
         lines.append("")
-        if regressions:
-            lines.append("## Regressions")
+        for heading, findings in (
+            ("Regressions", regressions),
+            ("Improvements", improvements),
+        ):
+            if not findings:
+                continue
+            lines.append(f"## {heading}")
             lines.append("")
             lines.append(
-                "| coordinate | baseline gap | candidate gap | Δ | G² | p |"
+                "| coordinate | baseline verdict | candidate verdict "
+                "| baseline gap | candidate gap |"
             )
-            lines.append("|---|---|---|---|---|---|")
-            for finding in regressions:
+            lines.append("|---|---|---|---|---|")
+            for finding in findings:
                 lines.append(
                     f"| `{finding.coordinate}` "
+                    f"| {_fmt_verdict(finding.baseline)} "
+                    f"| {_fmt_verdict(finding.candidate)} "
                     f"| {_fmt(finding.baseline_gap)} "
-                    f"| {_fmt(finding.candidate_gap)} "
-                    f"| {_fmt_delta(finding.delta)} "
-                    f"| {finding.g_statistic:.2f} "
-                    f"| {finding.p_value:.4f} |"
-                )
-            lines.append("")
-        if improvements:
-            lines.append("## Improvements")
-            lines.append("")
-            lines.append("| coordinate | baseline gap | candidate gap | Δ |")
-            lines.append("|---|---|---|---|")
-            for finding in improvements:
-                lines.append(
-                    f"| `{finding.coordinate}` "
-                    f"| {_fmt(finding.baseline_gap)} "
-                    f"| {_fmt(finding.candidate_gap)} "
-                    f"| {_fmt_delta(finding.delta)} |"
+                    f"| {_fmt(finding.candidate_gap)} |"
                 )
             lines.append("")
 
@@ -123,15 +125,17 @@ def render_fairness_audit(
     lines.append("")
     if widenings:
         lines.append(
-            "| coordinate | metric | dirty gap | repaired gap | widening |"
+            "| coordinate | metric | dirty gap | repaired gap | widening "
+            "| verdict |"
         )
-        lines.append("|---|---|---|---|---|")
+        lines.append("|---|---|---|---|---|---|")
         for widening, group, metric in widenings[:top]:
             dirty, repaired = group.gaps[metric]
             lines.append(
                 f"| `{group.coordinate}` | {metric} "
                 f"| {_fmt(dirty)} | {_fmt(repaired)} "
-                f"| {_fmt_delta(widening)} |"
+                f"| {_fmt_delta(widening)} "
+                f"| {_fmt_verdict(group.fairness.get(metric))} |"
             )
         if len(widenings) > top:
             lines.append("")
@@ -156,7 +160,9 @@ def render_fairness_audit(
         )
         for metric in metrics:
             dirty, repaired = group.gaps.get(metric, (None, None))
-            row += f" {_fmt(dirty)}→{_fmt(repaired)} |"
+            verdict = group.fairness.get(metric)
+            label = "" if verdict is None else f" ({verdict[0]})"
+            row += f" {_fmt(dirty)}→{_fmt(repaired)}{label} |"
         lines.append(row)
     lines.append("")
     return "\n".join(lines)

@@ -10,6 +10,7 @@
 
 from repro.stats.gtest import GTestResult, g_test, g_test_counts
 from repro.stats.impact import (
+    Classification,
     Impact,
     classify_impact,
     paired_t_test,
@@ -19,6 +20,7 @@ __all__ = [
     "GTestResult",
     "g_test",
     "g_test_counts",
+    "Classification",
     "Impact",
     "classify_impact",
     "paired_t_test",

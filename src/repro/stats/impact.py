@@ -17,6 +17,7 @@ disparities, "improving" means a smaller absolute disparity.
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +28,13 @@ class Impact(enum.Enum):
     WORSE = "worse"
     INSIGNIFICANT = "insignificant"
     BETTER = "better"
+
+
+class Classification(NamedTuple):
+    """An :class:`Impact` verdict and the paired-t p-value behind it."""
+
+    impact: Impact
+    p_value: float
 
 
 def paired_t_test(baseline: np.ndarray, treated: np.ndarray) -> float:
@@ -62,8 +70,11 @@ def classify_impact(
     use_magnitude: bool = False,
     alpha: float = 0.05,
     n_hypotheses: int = 1,
-) -> Impact:
+) -> Classification:
     """Classify cleaning impact on a score vector pair.
+
+    Returns the verdict together with the (unadjusted) two-sided
+    p-value of the one paired t-test that decided it.
 
     Args:
         baseline: Scores of the dirty baseline (one per run).
@@ -86,8 +97,8 @@ def classify_impact(
     p_value = paired_t_test(baseline, treated)
     threshold = alpha / n_hypotheses
     if p_value >= threshold:
-        return Impact.INSIGNIFICANT
+        return Classification(Impact.INSIGNIFICANT, p_value)
     keep = ~(np.isnan(baseline) | np.isnan(treated))
     mean_change = float(np.mean(treated[keep] - baseline[keep]))
     improved = mean_change > 0 if higher_is_better else mean_change < 0
-    return Impact.BETTER if improved else Impact.WORSE
+    return Classification(Impact.BETTER if improved else Impact.WORSE, p_value)

@@ -4,23 +4,26 @@
 the repaired disadvantaged-group confusion counts of the targeted
 configurations so the demographic-parity gap provably widens. The CI
 fairness gate replays ``obs-audit --fail-on-fairness-regression``
-against the sabotaged copy and must see a non-zero exit — a live
-end-to-end proof that the gate actually fires.
+against the sabotaged copy and must see exit code 3 — a live
+end-to-end proof that the gate actually fires. The gate compares
+paired-t verdicts, so the sabotaged store needs at least 2 paired runs
+per configuration for any verdict to move.
 
 The sabotage is direction-aware: whichever side of the selection-rate
-gap the disadvantaged group sits on, predicted labels are flipped to
-push it further from the privileged group's rate, so ``|DP|`` grows
-regardless of which group the repair originally favoured. Counts move
-between prediction outcomes only (tp→fn, fp→tn or tn→fp, fn→tp), so
-group sizes and true labels stay intact.
+gap the disadvantaged group sits on, every predicted label on the
+near side is flipped to push it further from the privileged group's
+rate, so ``|DP|`` grows regardless of which group the repair
+originally favoured. Counts move between prediction outcomes only
+(tp→fn, fp→tn or tn→fp, fn→tp), so group sizes and true labels stay
+intact.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
 from pathlib import Path
 
-from repro.benchmark import ResultStore, RunRecord
+from repro.benchmark import ResultStore
 from repro.fairness.confusion import (
     confusion_from_store_keys,
     group_key_fragments,
@@ -28,7 +31,7 @@ from repro.fairness.confusion import (
 )
 
 
-def _sabotage(metrics: dict, technique: str, fraction: float) -> bool:
+def _sabotage(metrics: dict, technique: str) -> bool:
     """Widen the repaired DP gap of every group in one record's metrics.
 
     Returns True when at least one group's counts changed.
@@ -46,25 +49,18 @@ def _sabotage(metrics: dict, technique: str, fraction: float) -> bool:
         dis_rate = (dis.tp + dis.fp) / total
         priv_total = priv.tn + priv.fp + priv.fn + priv.tp
         priv_rate = (priv.tp + priv.fp) / priv_total if priv_total else 0.0
-        tn, fp, fn, tp = dis.tn, dis.fp, dis.fn, dis.tp
         if dis_rate <= priv_rate:
             # disadvantaged group already selected less often: flip
-            # positives to negatives to push its rate further down
-            moved_tp = math.ceil(fraction * tp)
-            moved_fp = math.ceil(fraction * fp)
-            tp, fn = tp - moved_tp, fn + moved_tp
-            fp, tn = fp - moved_fp, tn + moved_fp
-            moved = moved_tp + moved_fp
+            # every positive to a negative to push its rate further down
+            cells = {"tn": dis.tn + dis.fp, "fp": 0, "fn": dis.fn + dis.tp, "tp": 0}
+            moved = dis.tp + dis.fp
         else:
-            # selected more often: flip negatives to positives
-            moved_tn = math.ceil(fraction * tn)
-            moved_fn = math.ceil(fraction * fn)
-            tn, fp = tn - moved_tn, fp + moved_tn
-            fn, tp = fn - moved_fn, tp + moved_fn
-            moved = moved_tn + moved_fn
+            # selected more often: flip every negative to a positive
+            cells = {"tn": 0, "fp": dis.fp + dis.tn, "fn": 0, "tp": dis.tp + dis.fn}
+            moved = dis.tn + dis.fn
         if moved == 0:
             continue
-        for cell, count in (("tn", tn), ("fp", fp), ("fn", fn), ("tp", tp)):
+        for cell, count in cells.items():
             metrics[f"{technique}__{dis_fragment}__{cell}"] = count
         changed = True
     return changed
@@ -76,7 +72,6 @@ def inject_fairness_regression(
     *,
     error_type: str = "mislabels",
     repair: str | None = None,
-    fraction: float = 1.0,
 ) -> int:
     """Copy a store with a provable fairness regression injected.
 
@@ -87,14 +82,7 @@ def inject_fairness_regression(
     returns the number of records changed; raises :class:`ValueError`
     when nothing matched (a gate test asserting on an un-sabotaged
     copy would silently pass).
-
-    ``fraction`` scales how many predictions flip per group. Keep the
-    default 1.0 for small gate stores: the audit's G² evidence gate
-    needs a divergence that tiny test sets only reach when every
-    prediction on the wrong side moves.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     source = ResultStore(store_path)
     output = ResultStore(output_path)
     sabotaged = 0
@@ -103,20 +91,9 @@ def inject_fairness_regression(
         if record.error_type == error_type and (
             repair is None or record.repair == repair
         ):
-            if _sabotage(metrics, record.repair, fraction):
+            if _sabotage(metrics, record.repair):
                 sabotaged += 1
-        output.add(
-            RunRecord(
-                dataset=record.dataset,
-                error_type=record.error_type,
-                detection=record.detection,
-                repair=record.repair,
-                model=record.model,
-                repetition=record.repetition,
-                tuning_seed=record.tuning_seed,
-                metrics=metrics,
-            )
-        )
+        output.add(replace(record, metrics=metrics))
     if sabotaged == 0:
         raise ValueError(
             f"no records matched error_type={error_type!r} repair={repair!r} "

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.benchmark.impact import (
-    ConfigurationImpact,
-    ImpactMatrix,
-    _group_fragments,
-)
+from repro.benchmark.impact import ConfigurationImpact, ImpactMatrix
+from repro.fairness.confusion import group_key_fragments
 from repro.stats.impact import Impact
 
 
@@ -27,6 +24,8 @@ def make_impact(fairness=Impact.BETTER, accuracy=Impact.WORSE, **overrides):
         mean_clean_fairness=0.05,
         mean_dirty_accuracy=0.7,
         mean_clean_accuracy=0.72,
+        fairness_p_value=0.001,
+        accuracy_p_value=0.001,
     )
     defaults.update(overrides)
     return ConfigurationImpact(**defaults)
@@ -63,11 +62,11 @@ def test_matrix_fraction_empty_is_nan():
 
 
 def test_group_fragments_single():
-    assert _group_fragments("sex") == ("sex_priv", "sex_dis")
+    assert group_key_fragments("sex") == ("sex_priv", "sex_dis")
 
 
 def test_group_fragments_intersectional():
-    assert _group_fragments("sex_x_age") == (
+    assert group_key_fragments("sex_x_age") == (
         "sex_priv__age_priv",
         "sex_dis__age_dis",
     )

@@ -117,4 +117,4 @@ def test_store_bytes_match_golden_with_fairness_telemetry_and_ledger(tmp_path):
     audit = build_audit(store)
     diff = diff_audits(audit, build_audit(ResultStore(store_path)))
     assert diff.findings and diff.regressions == []
-    assert all(f.p_value == 1.0 for f in diff.findings)
+    assert all(f.move == 0 and f.baseline == f.candidate for f in diff.findings)

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from repro.obs import ProgressSnapshot, load_health, render_progress, scan_run
+from repro.obs import (
+    ProgressSnapshot,
+    load_health,
+    render_health_report,
+    render_progress,
+    scan_run,
+)
 from repro.obs.progress import monitor_run, trace_files
 
 
@@ -168,6 +174,36 @@ def test_poisoned_cells_count_toward_completion(tmp_path):
     snapshot = scan_run(store_path, now=200.0)
     assert snapshot.cells_poisoned == 2
     assert snapshot.complete  # nothing left to wait for
+
+
+def test_re_poisoned_unit_counts_once(tmp_path):
+    """A re-run that poisons the same 1-cell unit again appends a second
+    sidecar entry; the fold keeps the newest, so the unit counts once."""
+    store_path = tmp_path / "study.json"
+    write_events(
+        tmp_path / "study.trace.jsonl", [planned_event(100.0, units=1, cells=1)]
+    )
+    failure = {
+        "dataset": "german",
+        "error_type": "mislabels",
+        "repetition": 0,
+        "pending_cells": [["log_reg", 0]],
+    }
+    failures = tmp_path / "study.failures.jsonl"
+    failures.write_text(
+        json.dumps({**failure, "attempts": 2, "error": "RuntimeError: first"})
+        + "\n"
+        + json.dumps({**failure, "attempts": 3, "error": "RuntimeError: second"})
+        + "\n"
+    )
+    snapshot = scan_run(store_path, now=200.0)
+    assert snapshot.cells_poisoned == 1
+    assert snapshot.poisoned_units == 1
+    health = load_health(trace_files(store_path), failures)
+    assert [entry["error"] for entry in health.failures] == ["RuntimeError: second"]
+    report = render_health_report(health)
+    assert report.count("german/mislabels/0") == 1
+    assert "RuntimeError: second" in report
 
 
 def test_scan_counts_store_and_journal_records(run_dir, tmp_path):

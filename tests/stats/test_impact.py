@@ -41,12 +41,14 @@ def _vectors(shift, n=40, noise=0.01, seed=1):
 
 def test_classify_better_for_accuracy_gain():
     baseline, treated = _vectors(+0.05)
-    assert classify_impact(baseline, treated, higher_is_better=True) is Impact.BETTER
+    verdict = classify_impact(baseline, treated, higher_is_better=True)
+    assert verdict.impact is Impact.BETTER
 
 
 def test_classify_worse_for_accuracy_loss():
     baseline, treated = _vectors(-0.05)
-    assert classify_impact(baseline, treated, higher_is_better=True) is Impact.WORSE
+    verdict = classify_impact(baseline, treated, higher_is_better=True)
+    assert verdict.impact is Impact.WORSE
 
 
 def test_classify_insignificant_for_noise():
@@ -54,7 +56,7 @@ def test_classify_insignificant_for_noise():
     baseline = rng.normal(0.7, 0.05, size=20)
     treated = baseline + rng.normal(0.0, 0.001, size=20)
     assert (
-        classify_impact(baseline, treated, higher_is_better=True)
+        classify_impact(baseline, treated, higher_is_better=True).impact
         is Impact.INSIGNIFICANT
     )
 
@@ -64,7 +66,9 @@ def test_magnitude_mode_rewards_shrinking_disparity():
     baseline, treated = np.full(30, -0.2), np.full(30, -0.05)
     treated = treated + np.random.default_rng(3).normal(0, 0.001, 30)
     assert (
-        classify_impact(baseline, treated, higher_is_better=False, use_magnitude=True)
+        classify_impact(
+            baseline, treated, higher_is_better=False, use_magnitude=True
+        ).impact
         is Impact.BETTER
     )
 
@@ -73,7 +77,9 @@ def test_magnitude_mode_penalises_growing_disparity():
     baseline = np.full(30, 0.05) + np.random.default_rng(4).normal(0, 0.001, 30)
     treated = np.full(30, -0.3) + np.random.default_rng(5).normal(0, 0.001, 30)
     assert (
-        classify_impact(baseline, treated, higher_is_better=False, use_magnitude=True)
+        classify_impact(
+            baseline, treated, higher_is_better=False, use_magnitude=True
+        ).impact
         is Impact.WORSE
     )
 
@@ -86,8 +92,10 @@ def test_bonferroni_raises_bar():
     adjusted = classify_impact(
         baseline, treated, higher_is_better=True, n_hypotheses=10_000_000
     )
-    assert unadjusted is Impact.BETTER
-    assert adjusted is Impact.INSIGNIFICANT
+    assert unadjusted.impact is Impact.BETTER
+    assert adjusted.impact is Impact.INSIGNIFICANT
+    # the correction moves the bar, not the test: one p-value
+    assert adjusted.p_value == unadjusted.p_value
 
 
 def test_invalid_n_hypotheses():

@@ -1,5 +1,7 @@
 """Tests for the python -m repro command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -734,9 +736,36 @@ def test_obs_audit_is_the_read_only_live_fairness_view(tmp_path, capsys):
     assert listing() == before
 
 
-def test_obs_audit_gate_fires_on_injected_regression(
-    telemetry_study, tmp_path, capsys
-):
+@pytest.fixture(scope="module")
+def gate_study(tmp_path_factory):
+    """The CI fairness gate's study: 2 repetitions, so every
+    configuration has 2 paired runs and a verdict can move (a
+    1-repetition store is insignificant everywhere, sabotaged or not)."""
+    store_path = str(tmp_path_factory.mktemp("gate") / "gate.json")
+    code = main(
+        [
+            "study",
+            "--store",
+            store_path,
+            "--dataset",
+            "german",
+            "--error-type",
+            "mislabels",
+            "--n-sample",
+            "300",
+            "--repetitions",
+            "2",
+            "--tuning-seeds",
+            "1",
+            "--models",
+            "log_reg",
+        ]
+    )
+    assert code == 0
+    return store_path
+
+
+def test_obs_audit_gate_fires_on_injected_regression(gate_study, tmp_path, capsys):
     from repro.testing import inject_fairness_regression
 
     baseline = tmp_path / "baseline.json"
@@ -745,7 +774,7 @@ def test_obs_audit_gate_fires_on_injected_regression(
             [
                 "obs-baseline",
                 "export",
-                telemetry_study,
+                gate_study,
                 "--output",
                 str(baseline),
             ]
@@ -753,7 +782,7 @@ def test_obs_audit_gate_fires_on_injected_regression(
         == 0
     )
     sabotaged = tmp_path / "sabotaged.json"
-    assert inject_fairness_regression(telemetry_study, sabotaged) == 3
+    assert inject_fairness_regression(gate_study, sabotaged) == 2
     capsys.readouterr()
     report = tmp_path / "audit.md"
     code = main(
@@ -768,7 +797,11 @@ def test_obs_audit_gate_fires_on_injected_regression(
         ]
     )
     assert code == 3
-    assert "REGRESSION" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "REGRESSIONS (fairness verdict moved toward worse)" in out
+    # each regression names its verdict move
+    move = r": (better|insignificant) p=\S+ -> (insignificant|worse) p="
+    assert re.search(move, out)
     assert "fairness regression" in report.read_text()
     # report-only mode still exits 0 on the same regression
     assert main(["obs-audit", str(sabotaged), "--baseline", str(baseline)]) == 0
@@ -789,6 +822,53 @@ def test_obs_audit_empty_store_and_unknown_baseline(
     capsys.readouterr()
     assert main(["obs-audit", telemetry_study, "--baseline", "nope"]) == 1
     assert "cannot resolve baseline" in capsys.readouterr().out
+
+
+def test_obs_audit_old_format_baseline_is_a_clean_error(
+    telemetry_study, tmp_path, capsys
+):
+    """A baseline exported before the verdict audit (per-group confusion
+    ``counts``, no verdicts) exits 1 naming its format, no traceback."""
+    import json
+
+    group = {
+        "dataset": "german",
+        "error_type": "mislabels",
+        "detection": "cleanlab",
+        "repair": "flip_labels",
+        "model": "log_reg",
+        "group": "sex",
+        "n_runs": 2,
+        "dirty_acc": 0.76,
+        "repaired_acc": 0.78,
+        "gaps": {"DP": [0.04, 0.05]},
+        "counts": {"repaired_dis": [8, 5, 1, 17], "repaired_priv": [29, 14, 16, 76]},
+    }
+    old = tmp_path / "old_baseline.json"
+    old.write_text(
+        json.dumps(
+            {
+                "kind": "run",
+                "run_id": "8e2e6df38134",
+                "n_records": 2,
+                "audit": {"metrics": ["DP"], "n_records": 2, "groups": [group]},
+            }
+        )
+    )
+    capsys.readouterr()
+    code = main(
+        [
+            "obs-audit",
+            telemetry_study,
+            "--baseline",
+            str(old),
+            "--fail-on-fairness-regression",
+        ]
+    )
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "G²-era format" in out
+    assert "Traceback" not in out
 
 
 def test_obs_audit_custom_rules_file(telemetry_study, tmp_path, capsys):
