@@ -11,8 +11,7 @@ Subcommands::
     python -m repro monitor STORE                 # tail an in-flight run
     python -m repro obs-export STORE              # Perfetto-viewable trace
     python -m repro obs-diff STORE_A STORE_B      # cross-run regression diff
-    python -m repro obs-audit STORE [--baseline REF]   # fairness audit/gate
-    python -m repro obs-baseline {record,pin,list,export} STORE  # run ledger
+    python -m repro obs-audit STORE [--baseline FILE]  # fairness audit/gate
 """
 
 from __future__ import annotations
@@ -154,7 +153,6 @@ def _cmd_study(args: argparse.Namespace) -> int:
         fsync_journal=args.fsync_journal,
         trace=trace,
         profile_memory=args.profile_memory,
-        ledger=args.ledger,
     )
     failures = store.failures_path
     poisoned_before = _count_lines(failures)
@@ -377,14 +375,11 @@ def _cmd_obs_audit(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import (
-        DEFAULT_RULES,
         build_audit,
         diff_audits,
-        evaluate_rules,
-        load_rules,
+        load_baseline,
         render_audit,
         render_audit_diff,
-        resolve_baseline,
     )
 
     if args.fail_on_fairness_regression and not args.baseline:
@@ -395,113 +390,35 @@ def _cmd_obs_audit(args: argparse.Namespace) -> int:
         print(f"store {args.store} is empty; run `python -m repro study` first")
         return 1
     audit = build_audit(store)
-    rules = load_rules(args.rules) if args.rules else DEFAULT_RULES
-    alerts = evaluate_rules(rules, audit)
     diff = None
     if args.baseline:
         try:
-            baseline = resolve_baseline(args.store, args.baseline)
+            baseline = load_baseline(args.baseline)
         except ValueError as error:
             print(f"cannot compare against baseline {args.baseline!r}: {error}")
-            return 1
-        if baseline is None:
-            print(
-                f"cannot resolve baseline {args.baseline!r}; pin one with "
-                "`python -m repro obs-baseline pin` or pass an exported "
-                "baseline file"
-            )
             return 1
         diff = diff_audits(baseline, audit)
     if args.markdown:
         from repro.reporting import render_fairness_audit
 
         document = render_fairness_audit(
-            audit, diff=diff, alerts=alerts, title=f"Fairness audit: {args.store}"
+            audit, diff=diff, title=f"Fairness audit: {args.store}"
         )
         with open(args.markdown, "w") as handle:
             handle.write(document + "\n")
         print(f"wrote {args.markdown}")
     if args.json:
-        payload: dict = {
-            "audit": audit.to_json(),
-            "alerts": [alert.to_json() for alert in alerts],
-        }
+        payload: dict = {"audit": audit.to_json()}
         if diff is not None:
             payload["diff"] = diff.to_json()
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(render_audit(audit, alerts, top=args.top))
+        print(render_audit(audit, top=args.top))
         if diff is not None:
             print()
             print(render_audit_diff(diff, all_findings=args.all))
     if args.fail_on_fairness_regression and diff is not None and diff.regressions:
         return 3
-    return 0
-
-
-def _cmd_obs_baseline(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        export_baseline,
-        ledger_path,
-        pin_baseline,
-        pins,
-        record_run,
-        runs,
-    )
-
-    if args.action == "record":
-        store = ResultStore(args.store)
-        if len(store) == 0:
-            print(
-                f"store {args.store} is empty; run `python -m repro study` first"
-            )
-            return 1
-        entry = record_run(store)
-        print(
-            f"ledgered run {entry['run_id']} "
-            f"({entry['n_records']} records) in {ledger_path(args.store)}"
-        )
-        return 0
-    if args.action == "pin":
-        if not args.name:
-            print("pin requires --name")
-            return 2
-        try:
-            entry = pin_baseline(args.store, args.name, run_id=args.run)
-        except LookupError as error:
-            print(str(error))
-            return 1
-        print(f"pinned {args.name!r} -> run {entry['run_id']}")
-        return 0
-    if args.action == "export":
-        if not args.output:
-            print("export requires --output")
-            return 2
-        try:
-            entry = export_baseline(args.store, args.output, run_id=args.run)
-        except LookupError as error:
-            print(str(error))
-            return 1
-        print(f"exported run {entry['run_id']} to {args.output}")
-        return 0
-    # list
-    path = ledger_path(args.store)
-    known = runs(path)
-    if not known:
-        print(f"no runs recorded in {path}")
-        return 1
-    pinned = pins(path)
-    names = {run_id: [] for run_id in pinned.values()}
-    for name, run_id in pinned.items():
-        names.setdefault(run_id, []).append(name)
-    for entry in known:
-        labels = names.get(entry["run_id"], [])
-        suffix = f"  [{', '.join(sorted(labels))}]" if labels else ""
-        fingerprint = entry.get("fingerprint") or "-"
-        print(
-            f"{entry['run_id']}  records={entry['n_records']} "
-            f"fingerprint={fingerprint}{suffix}"
-        )
     return 0
 
 
@@ -602,14 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("log_reg", "knn", "xgboost"),
         default=None,
         help="restrict the study to these models (default: all three)",
-    )
-    study.add_argument(
-        "--ledger",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="append this run's fairness audit to the {store}.ledger.jsonl "
-        "run ledger after saving (sidecar only — store bytes are "
-        "unchanged; audit against it with `obs-audit`)",
     )
     study.set_defaults(func=_cmd_study)
 
@@ -744,18 +653,13 @@ def build_parser() -> argparse.ArgumentParser:
     obs_audit = sub.add_parser(
         "obs-audit",
         help="audit per-group fairness outcomes of a run, optionally "
-        "against a pinned/exported baseline, with a CI regression gate",
+        "against a baseline file, with a CI regression gate",
     )
     obs_audit.add_argument("store", help="result-store path of the run")
     obs_audit.add_argument(
         "--baseline",
-        help="baseline to diff against: an exported baseline file, "
-        "'latest', a pin name, or a run-id prefix from this store's "
-        "ledger",
-    )
-    obs_audit.add_argument(
-        "--rules",
-        help="JSON alert-rule file (default: the built-in rules)",
+        help="baseline file to diff against: the JSON `obs-audit --json` "
+        "printed for an earlier run",
     )
     obs_audit.add_argument(
         "--top",
@@ -785,27 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_audit.set_defaults(func=_cmd_obs_audit)
 
-    obs_baseline = sub.add_parser(
-        "obs-baseline",
-        help="manage the append-only run ledger: record a run's audit, "
-        "pin named baselines, list runs, export a committed fixture",
-    )
-    obs_baseline.add_argument(
-        "action", choices=("record", "pin", "list", "export")
-    )
-    obs_baseline.add_argument("store", help="result-store path of the run")
-    obs_baseline.add_argument(
-        "--name", help="pin name (required by the pin action)"
-    )
-    obs_baseline.add_argument(
-        "--run",
-        help="run-id prefix to pin/export (default: the latest run)",
-    )
-    obs_baseline.add_argument(
-        "--output",
-        help="output path of the exported baseline (required by export)",
-    )
-    obs_baseline.set_defaults(func=_cmd_obs_baseline)
     return parser
 
 

@@ -320,10 +320,6 @@ class ExecutorOptions:
             (the samples land in the trace sidecars); meaningfully
             slower than plain tracing because tracemalloc instruments
             every allocation. Results stay byte-identical.
-        ledger: Append this run's fairness audit to the
-            ``{stem}.ledger.jsonl`` run ledger after a successful save
-            (see :mod:`repro.obs.ledger`). The ledger is a sidecar —
-            store bytes are identical with it on or off.
     """
 
     backend: str = "process"
@@ -338,7 +334,6 @@ class ExecutorOptions:
     abort_after_units: int | None = None
     trace: bool = False
     profile_memory: bool = False
-    ledger: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -1041,12 +1036,6 @@ def run_parallel_study(
         _write_failures(store, failures)
     if save and store.path is not None:
         store.save()
-        if options.ledger:
-            from repro.obs.ledger import record_run
-
-            entry = record_run(store, config=config)
-            if progress is not None:
-                progress(f"ledgered run {entry['run_id']}")
     return added
 
 

@@ -236,6 +236,31 @@ class ShardInfo:
         )
 
 
+def journal_files(store_path: str | Path) -> list[Path]:
+    """Existing journal shard files of a store, sorted by name.
+
+    ``{stem}.jsonl`` comes first, then every ``{stem}.*.jsonl`` except
+    the sidecars that hold no records: ``{stem}.failures.jsonl``
+    (poisoned work units, see :mod:`repro.benchmark.parallel`), the
+    ``{stem}.trace*.jsonl`` observability shards (see :mod:`repro.obs`)
+    and ``{stem}.ledger.jsonl``, which older versions wrote next to
+    every store.
+    """
+    store_path = Path(store_path)
+    stem = store_path.stem
+    parent = store_path.parent
+    sidecars = {f"{stem}.failures.jsonl", f"{stem}.ledger.jsonl"}
+    paths = sorted(
+        path
+        for path in parent.glob(f"{stem}.*.jsonl")
+        if path.name not in sidecars and not path.name.startswith(f"{stem}.trace.")
+    )
+    default = parent / f"{stem}.jsonl"
+    if default.exists():
+        paths.insert(0, default)
+    return paths
+
+
 class JournalWriter:
     """Append-only JSONL writer for incremental record persistence.
 
@@ -434,32 +459,11 @@ class ResultStore:
     # -- JSONL journal ---------------------------------------------------
 
     def journal_paths(self) -> list[Path]:
-        """Existing journal shard files for this store, sorted by name.
-
-        The ``{stem}.failures.jsonl`` sidecar (poisoned work units, see
-        :mod:`repro.benchmark.parallel`), the ``{stem}.trace*.jsonl``
-        observability shards (see :mod:`repro.obs`) and the
-        ``{stem}.ledger.jsonl`` run ledger (:mod:`repro.obs.ledger`)
-        are not record journals and are excluded.
-        """
+        """Existing journal shard files for this store (see
+        :func:`journal_files`)."""
         if self._path is None:
             return []
-        stem = self._path.stem
-        parent = self._path.parent
-        failures = self.failures_path
-        trace_prefix = f"{stem}.trace."
-        ledger = f"{stem}.ledger.jsonl"
-        paths = sorted(
-            path
-            for path in parent.glob(f"{stem}.*.jsonl")
-            if path != failures
-            and not path.name.startswith(trace_prefix)
-            and path.name != ledger
-        )
-        default = parent / f"{stem}.jsonl"
-        if default.exists():
-            paths.insert(0, default)
-        return paths
+        return journal_files(self._path)
 
     @property
     def failures_path(self) -> Path | None:
@@ -469,13 +473,6 @@ class ResultStore:
         return self._path.parent / f"{self._path.stem}.failures.jsonl"
 
     # -- observability sidecars ------------------------------------------
-
-    @property
-    def ledger_path(self) -> Path | None:
-        """The append-only run ledger ``{stem}.ledger.jsonl``."""
-        if self._path is None:
-            return None
-        return self._path.parent / f"{self._path.stem}.ledger.jsonl"
 
     @property
     def trace_path(self) -> Path | None:

@@ -28,13 +28,9 @@ to this reproduction):
 - :mod:`repro.obs.audit` — fairness outcomes as first-class telemetry,
   read from the store's records only: :class:`FairnessAudit` run
   summaries holding the paper's paired-t verdicts per configuration,
-  alert-rule evaluation, and baseline diffs that flag a fairness
-  verdict moving toward worse: ``python -m repro obs-audit`` (on a
-  finished or an in-flight run).
-- :mod:`repro.obs.ledger` — the append-only ``{stem}.ledger.jsonl``
-  run ledger with pinned baselines: ``python -m repro obs-baseline``.
-- :mod:`repro.obs.rules` — declarative fairness alert rules, evaluated
-  in one place: :func:`evaluate_rules` over a :class:`FairnessAudit`.
+  and baseline diffs that flag a fairness verdict moving toward worse:
+  ``python -m repro obs-audit`` (on a finished or an in-flight run).
+  A baseline is a file holding what ``obs-audit --json`` printed.
 
 Instrumentation is threaded through the hot layers (experiment
 runner, parallel executor, grid search, cleaning detectors/repairers,
@@ -52,7 +48,7 @@ from repro.obs.audit import (
     GroupAudit,
     build_audit,
     diff_audits,
-    evaluate_rules,
+    load_baseline,
     render_audit,
     render_audit_diff,
 )
@@ -67,19 +63,6 @@ from repro.obs.export import (
     EXPORT_FORMATS,
     export_trace,
     to_chrome_trace,
-)
-from repro.obs.ledger import (
-    LEDGER_SUFFIX,
-    config_fingerprint,
-    export_baseline,
-    ledger_path,
-    pin_baseline,
-    pins,
-    read_ledger,
-    record_run,
-    resolve_baseline,
-    run_id_for,
-    runs,
 )
 from repro.obs.metrics import (
     DURATION_BUCKETS,
@@ -100,15 +83,6 @@ from repro.obs.progress import (
     monitor_run,
     render_progress,
     scan_run,
-)
-from repro.obs.rules import (
-    DEFAULT_RULES,
-    RULE_KINDS,
-    Alert,
-    AlertRule,
-    dedupe_alerts,
-    evaluate_gaps,
-    load_rules,
 )
 from repro.obs.report import (
     RunHealth,
@@ -149,27 +123,9 @@ __all__ = [
     "GroupAudit",
     "build_audit",
     "diff_audits",
-    "evaluate_rules",
+    "load_baseline",
     "render_audit",
     "render_audit_diff",
-    "LEDGER_SUFFIX",
-    "config_fingerprint",
-    "export_baseline",
-    "ledger_path",
-    "pin_baseline",
-    "pins",
-    "read_ledger",
-    "record_run",
-    "resolve_baseline",
-    "run_id_for",
-    "runs",
-    "DEFAULT_RULES",
-    "RULE_KINDS",
-    "Alert",
-    "AlertRule",
-    "dedupe_alerts",
-    "evaluate_gaps",
-    "load_rules",
     "DiffEntry",
     "RunDiff",
     "diff_runs",

@@ -1,9 +1,9 @@
-"""Fairness audit: run summaries, alert rules and baseline diffs.
+"""Fairness audit: run summaries and baseline diffs.
 
 This module makes the study's *outcome* — per-group fairness —
 first-class telemetry, judged the way the paper judges it. Its one
 source is the group confusion counts the store's records already hold;
-the trace carries no fairness numbers. It has three pieces:
+the trace carries no fairness numbers. It has two pieces:
 
 - :func:`build_audit` classifies every (dataset, error_type,
   detection, repair, model, group) configuration with
@@ -11,37 +11,35 @@ the trace carries no fairness numbers. It has three pieces:
   metric the mean dirty vs repaired |disparity|, and the CleanML
   paired-t verdict (worse / insignificant / better, Bonferroni-
   adjusted) with its p-value — the same classifications Tables II–XIII
-  count — plus the accuracy verdict. This is the run summary the
-  ledger persists (:mod:`repro.obs.ledger`). A store opened mid-run
-  replays its journal shards, so ``obs-audit`` on an in-flight run
-  audits every record written so far.
-- :func:`evaluate_rules` checks the declarative alert rules
-  (:mod:`repro.obs.rules`) against an audit — the only place rules
-  are evaluated.
-- :func:`diff_audits` compares a candidate audit against a (pinned)
-  baseline: a configuration regresses exactly when its fairness
-  verdict moves toward worse (better → insignificant, better → worse,
-  insignificant → worse). ``obs-audit --fail-on-fairness-regression``
-  turns the result into a CI exit code.
+  count — plus the accuracy verdict. A store opened mid-run replays
+  its journal shards, so ``obs-audit`` on an in-flight run audits
+  every record written so far.
+- :func:`diff_audits` compares a candidate audit against a baseline:
+  a configuration regresses exactly when its fairness verdict moves
+  toward worse (better → insignificant, better → worse,
+  insignificant → worse). A baseline is a file holding what
+  ``python -m repro obs-audit STORE --json`` prints
+  (:func:`load_baseline`), and ``obs-audit --baseline FILE
+  --fail-on-fairness-regression`` turns the diff into a CI exit code.
 
 Repro-internal imports happen lazily inside functions: ``repro.obs``
 initialises before ``repro.benchmark`` during package import, so this
 module must not pull it at import time.
 
-Audits contain no store bytes and live in sidecars/ledgers only — the
-byte-identity discipline (store bytes equal with telemetry on or off)
-is untouched.
+Audits contain no store bytes and are never written next to the store
+— the byte-identity discipline (store bytes equal with telemetry on or
+off) is untouched.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
-from typing import Any, Iterable, Mapping, Sequence
-
-from repro.obs.rules import Alert, AlertRule, dedupe_alerts, evaluate_gaps
+from pathlib import Path
+from typing import Any, Mapping, Sequence
 
 #: Metric abbreviations audited by default: demographic parity, equal
 #: opportunity, equalized odds, predictive parity.
@@ -179,8 +177,8 @@ class FairnessAudit:
             )
             raise ValueError(
                 f"baseline audit is in {described}; this version compares "
-                f"{AUDIT_FORMAT!r} audits only — re-export the baseline with "
-                "`python -m repro obs-baseline export` from a run of this "
+                f"{AUDIT_FORMAT!r} audits only — write a new baseline with "
+                "`python -m repro obs-audit STORE --json` from a run of this "
                 "version"
             )
         return FairnessAudit(
@@ -188,6 +186,33 @@ class FairnessAudit:
             metrics=tuple(payload["metrics"]),
             n_records=int(payload["n_records"]),
         )
+
+
+def load_baseline(path: str | Path) -> FairnessAudit:
+    """Read a baseline file: the JSON ``obs-audit STORE --json`` prints.
+
+    The audit is the file's ``audit`` key. Raises :class:`ValueError`
+    naming what is wrong when the file is missing, is not JSON, has no
+    ``audit`` object, or holds an audit of another format or a
+    malformed one.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as error:
+        raise ValueError(f"cannot read it ({error.strerror})") from None
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        raise ValueError("it is not JSON") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("audit"), dict):
+        raise ValueError(
+            "it has no 'audit' object; write a baseline with "
+            "`python -m repro obs-audit STORE --json`"
+        )
+    try:
+        return FairnessAudit.from_json(payload["audit"])
+    except (KeyError, TypeError) as error:
+        raise ValueError(f"its audit is malformed ({error!r})") from None
 
 
 def _defined(value: float) -> float | None:
@@ -257,28 +282,6 @@ def build_audit(
                 )
             )
     return FairnessAudit(groups=groups, metrics=tuple(metrics), n_records=n_records)
-
-
-def evaluate_rules(
-    rules: Sequence[AlertRule], audit: FairnessAudit
-) -> list[Alert]:
-    """Post-hoc rule evaluation over an audit's aggregated gaps."""
-    alerts: list[Alert] = []
-    for entry in audit.groups:
-        alerts.extend(
-            evaluate_gaps(
-                rules,
-                dataset=entry.dataset,
-                error_type=entry.error_type,
-                detection=entry.detection,
-                repair=entry.repair,
-                model=entry.model,
-                gaps={entry.group: entry.gaps},
-                dirty_acc=entry.dirty_acc,
-                repaired_acc=entry.repaired_acc,
-            )
-        )
-    return dedupe_alerts(alerts)
 
 
 @dataclass(frozen=True)
@@ -409,13 +412,8 @@ def _format_verdict(verdict: Sequence[Any] | None) -> str:
     return "--" if verdict is None else f"{verdict[0]} p={verdict[1]:.2g}"
 
 
-def render_audit(
-    audit: FairnessAudit,
-    alerts: Iterable[Alert] = (),
-    top: int = 10,
-) -> str:
-    """Plain-text audit summary: verdict tallies, worst widenings and
-    fired alerts."""
+def render_audit(audit: FairnessAudit, top: int = 10) -> str:
+    """Plain-text audit summary: verdict tallies and worst widenings."""
     lines = [
         "FAIRNESS AUDIT",
         "==============",
@@ -451,14 +449,6 @@ def render_audit(
                 f"{_format_gap(pair[1])} ({widening:+.3f}, n={entry.n_runs}, "
                 f"{_format_verdict(entry.fairness.get(metric))})"
             )
-    alerts = list(alerts)
-    lines.append("")
-    if alerts:
-        lines.append(f"Alerts ({len(alerts)})")
-        for alert in alerts:
-            lines.append(f"  [{alert.rule}] {alert.message}")
-    else:
-        lines.append("Alerts: none")
     return "\n".join(lines)
 
 

@@ -142,20 +142,10 @@ def _store_record_count(store_path: Path) -> int:
 
 def _journal_record_count(store_path: Path) -> int:
     """Decodable record lines across all journal shards, read-only."""
-    stem = store_path.stem
-    parent = store_path.parent
+    from repro.benchmark.results import journal_files
+
     count = 0
-    paths = [parent / f"{stem}.jsonl"]
-    paths += sorted(
-        path
-        for path in parent.glob(f"{stem}.*.jsonl")
-        if not path.name.startswith(f"{stem}.trace.")
-        and path.name != f"{stem}.failures.jsonl"
-        and path.name != f"{stem}.ledger.jsonl"
-    )
-    for path in paths:
-        if not path.exists():
-            continue
+    for path in journal_files(store_path):
         try:
             text = path.read_text()
         except OSError:

@@ -187,8 +187,8 @@ class RunHealth:
 
         Every mapping (including nested ones) is emitted with sorted
         keys, so the serialised bytes are identical regardless of the
-        order events were folded in — audit and ledger diffs of two
-        identical runs must never see ordering noise.
+        order events were folded in — an ``obs-diff`` of two identical
+        runs must never see ordering noise.
         """
         return _canonical({f.name: getattr(self, f.name) for f in fields(self)})
 

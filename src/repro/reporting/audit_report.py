@@ -1,15 +1,15 @@
 """Markdown fairness-audit report (CI artifact + human review).
 
 Renders a :class:`repro.obs.FairnessAudit` — optionally with a
-baseline :class:`repro.obs.AuditDiff` and fired alert payloads — as a
-standalone markdown document. Everything is duck-typed on the audit
-objects' public attributes so this module never imports
-:mod:`repro.obs` (reporting stays a leaf package).
+baseline :class:`repro.obs.AuditDiff` — as a standalone markdown
+document. Everything is duck-typed on the audit objects' public
+attributes so this module never imports :mod:`repro.obs` (reporting
+stays a leaf package).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any
 
 
 def _fmt(value: float | None, digits: int = 3) -> str:
@@ -30,16 +30,9 @@ def _fmt_verdict(verdict: Any) -> str:
     return f"{verdict[0]} (p={verdict[1]:.4f})"
 
 
-def _alert_json(alert: Any) -> dict[str, Any]:
-    if isinstance(alert, dict):
-        return alert
-    return alert.to_json()
-
-
 def render_fairness_audit(
     audit: Any,
     diff: Any | None = None,
-    alerts: Iterable[Any] = (),
     title: str = "Fairness audit",
     top: int = 15,
 ) -> str:
@@ -49,10 +42,8 @@ def render_fairness_audit(
     group exposing ``coordinate``, ``n_runs``, ``dirty_acc``,
     ``repaired_acc``, ``gaps``, ``fairness`` and ``widening(metric)``);
     ``diff`` needs ``regressions`` / ``improvements`` / ``underpowered``
-    (see :class:`repro.obs.AuditDiff`); ``alerts`` are
-    :class:`repro.obs.Alert` objects or their ``to_json`` payloads.
+    (see :class:`repro.obs.AuditDiff`).
     """
-    alerts = [_alert_json(alert) for alert in alerts]
     metrics = list(audit.metrics)
     lines = [f"# {title}", ""]
     lines.append(
@@ -102,16 +93,6 @@ def render_fairness_audit(
                     f"| {_fmt(finding.candidate_gap)} |"
                 )
             lines.append("")
-
-    if alerts:
-        lines.append(f"## Alerts ({len(alerts)})")
-        lines.append("")
-        for alert in alerts:
-            lines.append(
-                f"- **{alert['rule']}** at `{alert['coordinate']}`: "
-                f"{alert['message']}"
-            )
-        lines.append("")
 
     # worst widenings across the whole audit: cleaning hurt these most
     widenings = []

@@ -84,23 +84,22 @@ def test_store_bytes_match_golden_with_full_telemetry(tmp_path):
 
 
 def test_store_bytes_match_golden_with_fairness_telemetry_and_ledger(tmp_path):
-    """Tracing + the run ledger must be byte-invisible too.
+    """Tracing must be byte-invisible, and a study keeps no run ledger.
 
-    The golden slice runs with tracing on and its fairness audit
-    appended to the run ledger; the store fingerprint must stay
-    identical to the fixture — telemetry lives in the trace sidecar
-    and the ledger only. A second audit of the identical bytes must
-    also diff clean.
+    The golden slice runs with tracing on; the store fingerprint must
+    stay identical to the fixture — telemetry lives in the trace
+    sidecar only, and no ``{stem}.ledger.jsonl`` is written. A second
+    audit of the identical bytes must also diff clean.
     """
     from repro.obs import build_audit, diff_audits
 
     store_path = tmp_path / "study.json"
     store = ResultStore(store_path)
-    run_golden_slice(store, trace=True, ledger=True)
+    run_golden_slice(store, trace=True)
 
     assert (tmp_path / "study.trace.jsonl").stat().st_size > 0
-    assert (tmp_path / "study.ledger.jsonl").exists()
-    assert store.journal_paths() == []  # the ledger is not a journal
+    assert not (tmp_path / "study.ledger.jsonl").exists()
+    assert store.journal_paths() == []
 
     actual = store_fingerprint(store_path)
     golden = store_fingerprint(GOLDEN)
@@ -108,8 +107,7 @@ def test_store_bytes_match_golden_with_fairness_telemetry_and_ledger(tmp_path):
     diverged = [name for name in golden if actual[name] != golden[name]]
     assert not diverged, (
         f"store bytes diverged from golden in {diverged} with tracing "
-        "and the run ledger enabled; telemetry must only ever land in "
-        "sidecars"
+        "enabled; telemetry must only ever land in sidecars"
     )
 
     # self-diff discipline: auditing the same bytes twice reports

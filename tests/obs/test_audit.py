@@ -7,12 +7,11 @@ import pytest
 
 from repro.benchmark import ImpactAnalysis, ResultStore, RunRecord
 from repro.obs import (
-    AlertRule,
     FairnessAudit,
     GroupAudit,
     build_audit,
     diff_audits,
-    evaluate_rules,
+    load_baseline,
     render_audit,
     render_audit_diff,
 )
@@ -124,13 +123,17 @@ def test_old_format_audit_is_rejected_naming_the_format():
         FairnessAudit.from_json(payload)
 
 
-def test_evaluate_rules_on_aggregated_audit():
-    audit = build_audit(store_with(make_record(repaired_dis=(10, 0, 9, 1))))
-    rules = (AlertRule(name="dp", metric="DP", epsilon=0.05),)
-    alerts = evaluate_rules(rules, audit)
-    assert len(alerts) == 1
-    assert alerts[0].rule == "dp"
-    assert alerts[0].coordinate.endswith("/sex/DP")
+def test_load_baseline_reads_the_audit_key(tmp_path):
+    audit = build_audit(store_with(make_record(), make_record(repetition=1)))
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps({"audit": audit.to_json(), "diff": {}}))
+    assert load_baseline(path).to_json() == audit.to_json()
+    path.write_text(json.dumps(audit.to_json()))  # a bare audit is no baseline
+    with pytest.raises(ValueError, match="no 'audit' object"):
+        load_baseline(path)
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="no 'audit' object"):
+        load_baseline(path)
 
 
 def multi_repetition_store(n_repetitions=6):
@@ -294,9 +297,10 @@ def test_diff_marks_new_and_vanished_coordinates():
 
 def test_render_audit_and_diff_are_printable():
     audit = build_audit(store_with(make_record()))
-    rules = (AlertRule(name="dp", metric="DP", epsilon=0.05),)
-    text = render_audit(audit, evaluate_rules(rules, audit))
+    text = render_audit(audit)
     assert "FAIRNESS AUDIT" in text
+    assert "Largest gap widenings" in text
+    assert "Alerts" not in text
     assert "german/missing_values" in text
     assert "DP: worse 0   insignificant 1   better 0" in text
     diff_text = render_audit_diff(diff_audits(audit, audit))

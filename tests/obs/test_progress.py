@@ -216,6 +216,15 @@ def test_scan_counts_store_and_journal_records(run_dir, tmp_path):
     assert snapshot.store_records == 0
 
 
+def test_leftover_ledger_sidecar_never_counts_as_journal_records(run_dir, tmp_path):
+    """Older versions left ``{stem}.ledger.jsonl`` next to every store;
+    the monitor never reads it, whatever its lines hold."""
+    (tmp_path / "study.ledger.jsonl").write_text(
+        json.dumps({"kind": "run", "metrics": {"acc": 0.7}}) + "\n"
+    )
+    assert scan_run(run_dir, now=125.0).journal_records == 0
+
+
 def test_scan_empty_run(tmp_path):
     snapshot = scan_run(tmp_path / "study.json", now=1.0)
     assert isinstance(snapshot, ProgressSnapshot)

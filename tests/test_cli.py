@@ -624,6 +624,10 @@ def test_obs_report_json_output(telemetry_study, capsys):
         (["obs-export", "s.json", "--format", "speedscope"], "--format"),
         (["obs-diff", "a.json"], "store_b"),
         (["obs-diff", "a.json", "b.json", "--threshold", "nope"], "--threshold"),
+        (["obs-audit", "s.json", "--rules", "rules.json"], "--rules"),
+        (["obs-baseline", "list", "s.json"], "obs-baseline"),
+        (["study", "--store", "s.json", "--ledger"], "--ledger"),
+        (["study", "--store", "s.json", "--no-ledger"], "--no-ledger"),
     ],
 )
 def test_telemetry_flags_rejected_with_message(capsys, argv, flag):
@@ -633,31 +637,27 @@ def test_telemetry_flags_rejected_with_message(capsys, argv, flag):
     assert flag in capsys.readouterr().err
 
 
-# -- fairness observatory: obs-audit / obs-baseline ---------------------
+# -- fairness observatory: obs-audit --------------------------------------
 
 
-def test_study_records_a_run_ledger(telemetry_study, capsys):
-    """The telemetry study ran with the default --ledger: its fairness
-    audit landed in the sidecar ledger, listable via obs-baseline."""
-    from pathlib import Path
-
-    ledger = Path(telemetry_study).with_suffix("")
-    ledger = ledger.parent / (ledger.name + ".ledger.jsonl")
-    assert ledger.exists()
-    assert main(["obs-baseline", "list", telemetry_study]) == 0
-    out = capsys.readouterr().out
-    assert "records=3" in out
-
-
-def test_obs_baseline_pin_and_audit_self_is_clean(telemetry_study, capsys):
-    assert main(["obs-baseline", "pin", telemetry_study, "--name", "golden"]) == 0
+def write_baseline(store_path, baseline, capsys):
+    """Write what ``obs-audit STORE --json`` prints to ``baseline``."""
     capsys.readouterr()
+    assert main(["obs-audit", str(store_path), "--json"]) == 0
+    baseline.write_text(capsys.readouterr().out)
+
+
+def test_obs_audit_json_is_a_baseline_and_self_audit_is_clean(
+    telemetry_study, tmp_path, capsys
+):
+    baseline = tmp_path / "baseline.json"
+    write_baseline(telemetry_study, baseline, capsys)
     code = main(
         [
             "obs-audit",
             telemetry_study,
             "--baseline",
-            "golden",
+            str(baseline),
             "--fail-on-fairness-regression",
         ]
     )
@@ -670,13 +670,15 @@ def test_obs_baseline_pin_and_audit_self_is_clean(telemetry_study, capsys):
 def test_obs_audit_json_and_markdown(telemetry_study, tmp_path, capsys):
     import json
 
+    baseline = tmp_path / "baseline.json"
+    write_baseline(telemetry_study, baseline, capsys)
     report = tmp_path / "audit.md"
     code = main(
         [
             "obs-audit",
             telemetry_study,
             "--baseline",
-            "latest",
+            str(baseline),
             "--json",
             "--markdown",
             str(report),
@@ -687,7 +689,7 @@ def test_obs_audit_json_and_markdown(telemetry_study, tmp_path, capsys):
     payload = json.loads(out[out.index("{"):])
     assert payload["audit"]["n_records"] == 3
     assert payload["diff"]["regressions"] == []
-    assert "alerts" in payload
+    assert set(payload) == {"audit", "diff"}
     document = report.read_text()
     assert document.startswith("# Fairness audit")
     assert "No fairness regressions" in document
@@ -769,18 +771,7 @@ def test_obs_audit_gate_fires_on_injected_regression(gate_study, tmp_path, capsy
     from repro.testing import inject_fairness_regression
 
     baseline = tmp_path / "baseline.json"
-    assert (
-        main(
-            [
-                "obs-baseline",
-                "export",
-                gate_study,
-                "--output",
-                str(baseline),
-            ]
-        )
-        == 0
-    )
+    write_baseline(gate_study, baseline, capsys)
     sabotaged = tmp_path / "sabotaged.json"
     assert inject_fairness_regression(gate_study, sabotaged) == 2
     capsys.readouterr()
@@ -820,8 +811,31 @@ def test_obs_audit_empty_store_and_unknown_baseline(
 ):
     assert main(["obs-audit", str(tmp_path / "none.json")]) == 1
     capsys.readouterr()
-    assert main(["obs-audit", telemetry_study, "--baseline", "nope"]) == 1
-    assert "cannot resolve baseline" in capsys.readouterr().out
+    not_json = tmp_path / "not.json"
+    not_json.write_text("FAIRNESS AUDIT\n")
+    no_audit = tmp_path / "no_audit.json"
+    no_audit.write_text('{"diff": {}}')
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"audit": {"format": "paired-t-v1"}}')
+    for path, reason in (
+        (tmp_path / "nope.json", "cannot read it"),
+        (not_json, "it is not JSON"),
+        (no_audit, "it has no 'audit' object"),
+        (truncated, "its audit is malformed (KeyError('groups'))"),
+    ):
+        code = main(
+            [
+                "obs-audit",
+                telemetry_study,
+                "--baseline",
+                str(path),
+                "--fail-on-fairness-regression",
+            ]
+        )
+        assert code == 1
+        out = capsys.readouterr().out
+        assert f"cannot compare against baseline '{path}': {reason}" in out
+        assert "Traceback" not in out
 
 
 def test_obs_audit_old_format_baseline_is_a_clean_error(
@@ -871,33 +885,9 @@ def test_obs_audit_old_format_baseline_is_a_clean_error(
     assert "Traceback" not in out
 
 
-def test_obs_audit_custom_rules_file(telemetry_study, tmp_path, capsys):
-    import json
-
-    rules = tmp_path / "rules.json"
-    rules.write_text(
-        json.dumps([{"name": "zero-tolerance", "metric": "DP", "epsilon": 0.0}])
-    )
-    assert main(["obs-audit", telemetry_study, "--rules", str(rules)]) == 0
-    out = capsys.readouterr().out
-    assert "FAIRNESS AUDIT" in out
-
-
-def test_obs_baseline_pin_requires_name_and_export_output(
-    telemetry_study, capsys
-):
-    assert main(["obs-baseline", "pin", telemetry_study]) == 2
-    assert "--name" in capsys.readouterr().out
-    assert main(["obs-baseline", "export", telemetry_study]) == 2
-    assert "--output" in capsys.readouterr().out
-
-
-def test_obs_baseline_list_without_ledger(tmp_path, capsys):
-    assert main(["obs-baseline", "list", str(tmp_path / "none.json")]) == 1
-    assert "no runs recorded" in capsys.readouterr().out
-
-
 def test_study_models_and_no_ledger_flags(tmp_path, capsys):
+    """``--models`` restricts the study, and a study writes no run
+    ledger (its ``--ledger`` flags are gone)."""
     from repro.benchmark import ResultStore
 
     store_path = str(tmp_path / "store.json")
@@ -916,7 +906,6 @@ def test_study_models_and_no_ledger_flags(tmp_path, capsys):
             "1",
             "--models",
             "log_reg",
-            "--no-ledger",
         ]
     )
     assert code == 0

@@ -108,14 +108,44 @@ SCRIPT = textwrap.dedent(
 )
 
 
-def test_study_process_never_imports_scipy_stats():
+#: ``repro study`` on the CI fairness gate's configuration, in-process.
+CLI_SCRIPT = textwrap.dedent(
+    """
+    import sys
+    import tempfile
+    from pathlib import Path
+
+    from repro.__main__ import main
+
+    with tempfile.TemporaryDirectory() as directory:
+        store = str(Path(directory) / "gate.json")
+        code = main(
+            [
+                "study", "--store", store,
+                "--dataset", "german", "--error-type", "mislabels",
+                "--n-sample", "300", "--repetitions", "2",
+                "--tuning-seeds", "1", "--models", "log_reg",
+            ]
+        )
+        assert code == 0, code
+        assert sorted(path.name for path in Path(directory).iterdir()) == [
+            "gate.json",
+            "gate.store",
+        ]
+    assert "scipy.stats" not in sys.modules, "repro study loaded scipy.stats"
+    print("ok")
+    """
+)
+
+
+def run_fresh(script):
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         path for path in (src, env.get("PYTHONPATH")) if path
     )
     completed = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         env=env,
         capture_output=True,
         text=True,
@@ -123,3 +153,13 @@ def test_study_process_never_imports_scipy_stats():
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip().endswith("ok")
+
+
+def test_study_process_never_imports_scipy_stats():
+    run_fresh(SCRIPT)
+
+
+def test_study_command_never_imports_scipy_stats():
+    """``repro study`` audits nothing after saving, so the command
+    stays as light as the library call."""
+    run_fresh(CLI_SCRIPT)
