@@ -1,10 +1,9 @@
 """Tracing-overhead benchmark: the observability tax must stay small.
 
 Runs the same small serial study (german / mislabels at smoke scale)
-with tracing off and on — the traced arm now includes the runner's
-per-cell heartbeat events *and* the per-record ``fairness`` events
-(confusion-count reconstruction + disparity metrics per group) — in-
-memory store either way, and records the wall-clock overhead fraction
+with tracing off and on — the traced arm writes the runner's spans,
+per-cell heartbeat events and counters — in-memory store either way,
+and records the wall-clock overhead fraction
 in ``BENCH_obs.json`` at the repo root. The design target is < 3% overhead; the check is a *soft* one (a
 ``UserWarning``, not a failure) because a noisy shared box can swing a
 sub-second study by more than that, and the artifact's trajectory

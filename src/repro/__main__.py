@@ -143,16 +143,12 @@ def _cmd_study(args: argparse.Namespace) -> int:
         if args.error_type
         else ["missing_values", "outliers", "mislabels"]
     )
-    # memory profiling records into the trace sidecars, so it implies
-    # tracing rather than erroring on the missing flag
-    trace = args.trace or args.profile_memory
     options = ExecutorOptions(
         transport=args.transport,
         max_retries=2 if args.max_retries is None else args.max_retries,
         cell_timeout=args.cell_timeout,
         fsync_journal=args.fsync_journal,
-        trace=trace,
-        profile_memory=args.profile_memory,
+        trace=args.trace,
     )
     failures = store.failures_path
     poisoned_before = _count_lines(failures)
@@ -298,7 +294,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import monitor_run, scan_run
-    from repro.obs.progress import trace_files
+    from repro.benchmark.results import trace_files
 
     if not trace_files(args.store):
         print(
@@ -323,7 +319,7 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.obs import export_trace
-    from repro.obs.progress import trace_files
+    from repro.benchmark.results import trace_files
 
     paths = trace_files(args.store)
     if not paths:
@@ -337,7 +333,7 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
         if args.output
         else str(Path(args.store).with_suffix("")) + ".trace.chrome.json"
     )
-    n_events = export_trace(paths, output, format=args.format)
+    n_events = export_trace(paths, output)
     print(
         f"wrote {n_events} trace events to {output} "
         "(open in ui.perfetto.dev or chrome://tracing)"
@@ -349,7 +345,7 @@ def _cmd_obs_diff(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs import diff_stores, render_diff
-    from repro.obs.progress import trace_files
+    from repro.benchmark.results import trace_files
 
     paths_a = trace_files(args.store_a)
     paths_b = trace_files(args.store_b)
@@ -507,13 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
         "tail live with `monitor`, export with `obs-export`)",
     )
     study.add_argument(
-        "--profile-memory",
-        action="store_true",
-        help="sample tracemalloc deltas + RSS at unit/cell/featurize span "
-        "boundaries (implies --trace; slower — tracemalloc instruments "
-        "every allocation; results stay byte-identical)",
-    )
-    study.add_argument(
         "--models",
         nargs="+",
         choices=("log_reg", "knn", "xgboost"),
@@ -601,12 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(viewable in Perfetto / chrome://tracing / speedscope)",
     )
     obs_export.add_argument("store", help="result-store path of a traced run")
-    obs_export.add_argument(
-        "--format",
-        choices=("chrome",),
-        default="chrome",
-        help="export format (default chrome)",
-    )
     obs_export.add_argument(
         "--output",
         help="output path (default {store}.trace.chrome.json)",

@@ -71,7 +71,6 @@ from multiprocessing import get_context
 from typing import Any, Callable, Iterable, Sequence
 
 from repro import obs
-from repro.obs.profile import profile_memory
 from repro.benchmark.config import StudyConfig
 from repro.benchmark.results import JournalWriter, ResultStore, RunRecord
 from repro.benchmark.runner import ERROR_TYPES, Cell, ExperimentRunner
@@ -309,17 +308,11 @@ class ExecutorOptions:
             kill point for crash-recovery tests.
         trace: Emit structured trace events (see :mod:`repro.obs`).
             The parent writes executor events (retries, poisonings,
-            backoff sleeps, unit latencies) to ``{stem}.trace.jsonl``;
+            backoff sleeps, merged units) to ``{stem}.trace.jsonl``;
             each worker traces its units into
             ``{stem}.trace.w{pid}.jsonl``, compacted into the parent
             shard by :meth:`ResultStore.save`. Study results are
             byte-identical with tracing on or off.
-        profile_memory: Sample memory telemetry (tracemalloc deltas +
-            RSS gauges, see :mod:`repro.obs.profile`) at the
-            unit/cell/featurize span boundaries. Requires ``trace``
-            (the samples land in the trace sidecars); meaningfully
-            slower than plain tracing because tracemalloc instruments
-            every allocation. Results stay byte-identical.
     """
 
     backend: str = "process"
@@ -333,7 +326,6 @@ class ExecutorOptions:
     fault_plan: Any = None
     abort_after_units: int | None = None
     trace: bool = False
-    profile_memory: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -355,11 +347,6 @@ class ExecutorOptions:
         if self.abort_after_units is not None and self.abort_after_units < 1:
             raise ValueError(
                 f"abort_after_units must be >= 1, got {self.abort_after_units}"
-            )
-        if self.profile_memory and not self.trace:
-            raise ValueError(
-                "profile_memory requires trace (memory samples are "
-                "recorded in the trace sidecars)"
             )
 
 
@@ -622,14 +609,7 @@ def _run_unit(task: _Task) -> list[dict[str, Any]]:
         if options.trace and journal_prefix is not None
         else nullcontext()
     )
-    # memory profiling is process-global like the tracer; the parent
-    # enables it around the whole run (covering in-process units and
-    # fork-started pool children), and this per-unit scope covers
-    # spawn-started workers that inherited nothing. Idempotent.
-    profile_scope = (
-        profile_memory() if options.profile_memory and options.trace else nullcontext()
-    )
-    with trace_scope, profile_scope:
+    with trace_scope:
         return _run_unit_traced(task)
 
 
@@ -962,13 +942,7 @@ def run_parallel_study(
             ]
             queue = []
             delays: list[float] = []
-            round_started = time.perf_counter()
             for unit, payloads, error in execute(tasks):
-                # queue wait + execution, measured from round dispatch
-                obs.histogram(
-                    "unit_result_latency_seconds",
-                    time.perf_counter() - round_started,
-                )
                 if registry is not None:
                     # one lease per dispatched task: a retried unit
                     # leases afresh when its next round's task is built
@@ -995,11 +969,8 @@ def run_parallel_study(
         if options.trace and journal_prefix is not None
         else nullcontext()
     )
-    profile_scope = (
-        profile_memory() if options.profile_memory and options.trace else nullcontext()
-    )
     try:
-        with trace_scope, profile_scope:
+        with trace_scope:
             obs.event(
                 "planned",
                 units=len(units),

@@ -261,6 +261,25 @@ def journal_files(store_path: str | Path) -> list[Path]:
     return paths
 
 
+def trace_files(store_path: str | Path) -> list[Path]:
+    """Existing trace files of a store: the compacted
+    ``{stem}.trace.jsonl`` first, then the per-worker shards
+    ``{stem}.trace.*.jsonl`` sorted by name (see :mod:`repro.obs`)."""
+    store_path = Path(store_path)
+    stem = store_path.stem
+    parent = store_path.parent
+    main = parent / f"{stem}.trace.jsonl"
+    paths = [main] if main.exists() else []
+    paths.extend(sorted(parent.glob(f"{stem}.trace.*.jsonl")))
+    return paths
+
+
+def failures_file(store_path: str | Path) -> Path:
+    """The store's poisoned-unit sidecar ``{stem}.failures.jsonl``."""
+    store_path = Path(store_path)
+    return store_path.parent / f"{store_path.stem}.failures.jsonl"
+
+
 class JournalWriter:
     """Append-only JSONL writer for incremental record persistence.
 
@@ -470,7 +489,7 @@ class ResultStore:
         """Sidecar recording poisoned work units (None for in-memory)."""
         if self._path is None:
             return None
-        return self._path.parent / f"{self._path.stem}.failures.jsonl"
+        return failures_file(self._path)
 
     # -- observability sidecars ------------------------------------------
 
@@ -482,23 +501,10 @@ class ResultStore:
         return self._path.parent / f"{self._path.stem}.trace.jsonl"
 
     def trace_paths(self) -> list[Path]:
-        """All existing trace files: the compacted sidecar first, then
-        per-worker shards (``{stem}.trace.w{pid}.jsonl``) sorted by
-        name."""
+        """Existing trace files for this store (see :func:`trace_files`)."""
         if self._path is None:
             return []
-        main = self.trace_path
-        assert main is not None
-        paths = [main] if main.exists() else []
-        paths.extend(
-            sorted(
-                path
-                for path in self._path.parent.glob(
-                    f"{self._path.stem}.trace.*.jsonl"
-                )
-            )
-        )
-        return paths
+        return trace_files(self._path)
 
     def compact_trace(self) -> int:
         """Fold worker trace shards into the single ``trace.jsonl``.
@@ -506,13 +512,14 @@ class ResultStore:
         Mirrors the record-journal compaction in :meth:`save`: the
         parent's own span and point events keep their emission order,
         shard-origin events are appended after them in **sorted line
-        order**, and ``metric`` events are merged deterministically
-        (counters and histogram buckets sum, gauges take the maximum —
-        see :mod:`repro.obs.metrics`) and appended last; the result is
-        written atomically and the worker shards are removed. Sorting
-        the shard lines — rather than concatenating in shard-file
-        order — makes the output byte-identical under any permutation
-        of shard file names, whose ``w{pid}`` parts vary run to run.
+        order**, and ``metric`` counters are summed (see
+        :func:`repro.obs.metrics.merge_metric_events`, which drops the
+        other metric types older traces carry) and appended last; the
+        result is written atomically and the worker shards are removed.
+        Sorting the shard lines — rather than concatenating in
+        shard-file order — makes the output byte-identical under any
+        permutation of shard file names, whose ``w{pid}`` parts vary
+        run to run.
         Returns the number of events in the compacted file (0 when
         there is nothing to compact). A no-op when no worker shards
         exist, so repeated saves leave a compacted trace untouched.

@@ -195,7 +195,6 @@ def publish_table(table: Table) -> tuple[TableRef, list[shared_memory.SharedMemo
     obs.counter(
         "shm_bytes_published", float(sum(segment.size for segment in segments))
     )
-    obs.gauge("shm_live_segments", float(len(_LIVE_SEGMENTS)))
     return ref, segments
 
 
@@ -256,9 +255,6 @@ def unlink_segments(segments: list[shared_memory.SharedMemory]) -> None:
             pass
         _LIVE_SEGMENTS.discard(segment.name)
         obs.counter("shm_segments_unlinked")
-    # merged by max at compaction, so the compacted trace keeps the
-    # peak concurrently-live segment count of the run
-    obs.gauge("shm_live_segments", float(len(_LIVE_SEGMENTS)))
 
 
 class ShmRegistry:

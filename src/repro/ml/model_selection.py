@@ -279,7 +279,6 @@ class GridSearchCV:
             for entry in self.cv_results_:
                 tune_span.add("fit_seconds", entry["fit_seconds"])
                 tune_span.add("score_seconds", entry["score_seconds"])
-                obs.histogram("candidate_fit_seconds", entry["fit_seconds"])
         self.refit(X, y, best_params, best_score)
 
     def refit(

@@ -7,9 +7,8 @@ to this reproduction):
 - :mod:`repro.obs.trace` — nestable spans with monotonic timings and
   per-span counters/attributes, point events, and a process-global
   tracer whose *disabled* fast path costs one attribute lookup.
-- :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
-  histograms whose snapshots merge deterministically across worker
-  shards.
+- :mod:`repro.obs.metrics` — counters whose snapshots sum
+  deterministically across worker shards.
 - :mod:`repro.obs.report` — the one reducer of trace events:
   :func:`build_health` folds ``trace.jsonl`` + ``failures.jsonl`` into
   a :class:`RunHealth` summary, and :func:`render_health_report`
@@ -20,9 +19,6 @@ to this reproduction):
   workers): ``python -m repro monitor``.
 - :mod:`repro.obs.export` — Chrome Trace Event Format export for
   Perfetto / speedscope: ``python -m repro obs-export``.
-- :mod:`repro.obs.profile` — opt-in memory telemetry (tracemalloc
-  deltas + RSS gauges at hot-path span boundaries), behind
-  ``--profile-memory``.
 - :mod:`repro.obs.diff` — noise-aware cross-run regression diffs
   between two :class:`RunHealth` folds: ``python -m repro obs-diff``.
 - :mod:`repro.obs.audit` — fairness outcomes as first-class telemetry,
@@ -38,6 +34,9 @@ fault injectors) via the module-level helpers below; with tracing off
 every instrumentation point is a no-op, and study results are
 byte-identical with tracing on or off — trace events live in sidecar
 shards (``{stem}.trace*.jsonl``) that never touch the result store.
+A trace holds three kinds of telemetry, each read by a report, the
+monitor, the diff or the export: spans, point events and counter
+metrics.
 """
 
 from repro.obs.audit import (
@@ -59,24 +58,8 @@ from repro.obs.diff import (
     diff_stores,
     render_diff,
 )
-from repro.obs.export import (
-    EXPORT_FORMATS,
-    export_trace,
-    to_chrome_trace,
-)
-from repro.obs.metrics import (
-    DURATION_BUCKETS,
-    MetricsRegistry,
-    merge_metric_events,
-)
-from repro.obs.profile import (
-    HOT_SPANS,
-    disable_memory_profiling,
-    enable_memory_profiling,
-    memory_profiling_enabled,
-    profile_memory,
-    rss_bytes,
-)
+from repro.obs.export import export_trace, to_chrome_trace
+from repro.obs.metrics import MetricsRegistry, merge_metric_events
 from repro.obs.progress import (
     ProgressSnapshot,
     WorkerStatus,
@@ -102,17 +85,13 @@ from repro.obs.trace import (
     counter,
     event,
     flush,
-    gauge,
     get_tracer,
     heartbeat,
-    histogram,
-    install_span_hooks,
     is_enabled,
     scoped,
     shutdown,
     span,
     track_id,
-    uninstall_span_hooks,
 )
 
 __all__ = [
@@ -131,18 +110,10 @@ __all__ = [
     "diff_runs",
     "diff_stores",
     "render_diff",
-    "EXPORT_FORMATS",
     "export_trace",
     "to_chrome_trace",
-    "DURATION_BUCKETS",
     "MetricsRegistry",
     "merge_metric_events",
-    "HOT_SPANS",
-    "disable_memory_profiling",
-    "enable_memory_profiling",
-    "memory_profiling_enabled",
-    "profile_memory",
-    "rss_bytes",
     "ProgressSnapshot",
     "WorkerStatus",
     "monitor_run",
@@ -163,15 +134,11 @@ __all__ = [
     "counter",
     "event",
     "flush",
-    "gauge",
     "get_tracer",
     "heartbeat",
-    "histogram",
-    "install_span_hooks",
     "is_enabled",
     "scoped",
     "shutdown",
     "span",
     "track_id",
-    "uninstall_span_hooks",
 ]

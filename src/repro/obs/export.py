@@ -14,9 +14,9 @@ speedscope:
 - each worker track ``w{pid}[.t{tid}]`` maps to a (pid, tid) pair with
   ``process_name``/``thread_name`` metadata (``ph: "M"``) records, so
   a multi-worker study shows one named track per worker;
-- merged ``metric`` counters and gauges become counter (``ph: "C"``)
-  samples on a dedicated track — a final-value sample per metric,
-  since compacted metric snapshots carry no timestamps of their own.
+- merged ``metric`` counters become counter (``ph: "C"``) samples on a
+  dedicated track — a final-value sample per counter, since compacted
+  metric snapshots carry no timestamps of their own.
 
 Timestamps are re-based to the earliest event in the trace (Perfetto
 handles epoch microseconds, but a run-relative timeline reads far
@@ -33,10 +33,6 @@ from typing import Any, Iterable, Sequence
 
 from repro.obs.metrics import merge_metric_events
 from repro.obs.report import read_trace_events
-
-#: Formats :func:`export_trace` understands.
-EXPORT_FORMATS = ("chrome",)
-
 
 def _track_ids(track: str) -> tuple[int, int]:
     """Map a ``w{pid}[.t{tid}]`` track to Chrome (pid, tid) numbers."""
@@ -142,8 +138,6 @@ def to_chrome_trace(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
     for merged in merge_metric_events(
         [event for event in events if event.get("kind") == "metric"]
     ):
-        if merged["type"] == "histogram":
-            continue
         labels = merged.get("labels", {})
         suffix = (
             "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
@@ -174,17 +168,9 @@ def to_chrome_trace(events: Iterable[dict[str, Any]]) -> dict[str, Any]:
 def export_trace(
     trace_paths: Sequence[str | Path],
     output_path: str | Path,
-    format: str = "chrome",
 ) -> int:
-    """Export trace files to ``output_path``; returns the event count.
-
-    ``format`` currently supports ``"chrome"`` only (the Perfetto /
-    speedscope-compatible Trace Event Format).
-    """
-    if format not in EXPORT_FORMATS:
-        raise ValueError(
-            f"unknown export format {format!r}; valid: {EXPORT_FORMATS}"
-        )
+    """Export trace files to ``output_path`` in Chrome Trace Event
+    Format; returns the event count."""
     payload = to_chrome_trace(read_trace_events(trace_paths))
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,48 +1,17 @@
-"""Metrics registry: counters, gauges and fixed-bucket histograms.
+"""Metrics registry: counters whose snapshots merge across shards.
 
-The registry is deliberately minimal and merge-friendly: metrics are
-keyed by ``(name, sorted labels)``, histograms use **fixed bucket
-boundaries** (:data:`DURATION_BUCKETS` by default), and every snapshot
-serialises to a flat JSON payload. Two snapshots of the same metric —
-e.g. from two worker-process trace shards — therefore merge
-**permutation-invariantly**: counters and histogram bucket counts sum
-(commutative), and gauges keep the *maximum* value across snapshots —
-the meaningful aggregate for the RSS/peak gauges the memory profiler
-emits, and the only order-free choice when shard file names (and thus
-read order) vary across backends (see :func:`merge_metric_events`,
-which :meth:`repro.benchmark.ResultStore.compact_trace` applies when
-folding worker shards into the run's ``trace.jsonl``). Within one
-live registry a gauge still has last-write-wins semantics; a gauge
-needing per-writer last values should carry a distinguishing label
-(e.g. ``worker=w{pid}``).
+Counters are keyed by ``(name, sorted labels)`` and every snapshot
+serialises to a flat JSON payload. Two snapshots of the same counter —
+e.g. from two worker-process trace shards — sum, and summing is
+commutative, so the merge is **permutation-invariant** (see
+:func:`merge_metric_events`, which
+:meth:`repro.benchmark.ResultStore.compact_trace` applies when folding
+worker shards into the run's ``trace.jsonl``).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterable
-
-#: Default histogram boundaries (seconds): sub-millisecond to minutes.
-#: An implicit +inf bucket catches everything beyond the last edge.
-DURATION_BUCKETS: tuple[float, ...] = (
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-    30.0,
-    60.0,
-    120.0,
-    300.0,
-)
 
 
 def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
@@ -50,156 +19,41 @@ def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
 
 
 class MetricsRegistry:
-    """In-memory metric accumulator attached to a tracer."""
+    """In-memory counter accumulator attached to a tracer."""
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, tuple], float] = {}
-        self._gauges: dict[tuple[str, tuple], float] = {}
-        self._histograms: dict[tuple[str, tuple], dict[str, Any]] = {}
 
     def counter(self, name: str, amount: float = 1.0, **labels: Any) -> None:
         """Add ``amount`` to a monotonically increasing counter."""
         key = (name, _label_key(labels))
         self._counters[key] = self._counters.get(key, 0.0) + amount
 
-    def gauge(self, name: str, value: float, **labels: Any) -> None:
-        """Set a point-in-time value (last write wins)."""
-        self._gauges[(name, _label_key(labels))] = float(value)
-
-    def histogram(
-        self,
-        name: str,
-        value: float,
-        buckets: tuple[float, ...] = DURATION_BUCKETS,
-        **labels: Any,
-    ) -> None:
-        """Observe ``value`` into a fixed-bucket histogram.
-
-        All observations of one histogram must use the same bucket
-        boundaries — the first observation pins them.
-        """
-        key = (name, _label_key(labels))
-        state = self._histograms.get(key)
-        if state is None:
-            state = self._histograms[key] = {
-                "buckets": tuple(buckets),
-                "counts": [0] * (len(buckets) + 1),
-                "sum": 0.0,
-                "count": 0,
-            }
-        elif state["buckets"] != tuple(buckets):
-            raise ValueError(
-                f"histogram {name!r} was created with different buckets"
-            )
-        index = _bucket_index(state["buckets"], value)
-        state["counts"][index] += 1
-        state["sum"] += float(value)
-        state["count"] += 1
-
     def snapshot(self) -> list[dict[str, Any]]:
-        """Serialisable snapshots, sorted by (type, name, labels)."""
-        out: list[dict[str, Any]] = []
-        for (name, labels), value in sorted(self._counters.items()):
-            out.append(
-                {
-                    "type": "counter",
-                    "name": name,
-                    "labels": dict(labels),
-                    "value": value,
-                }
-            )
-        for (name, labels), value in sorted(self._gauges.items()):
-            out.append(
-                {
-                    "type": "gauge",
-                    "name": name,
-                    "labels": dict(labels),
-                    "value": value,
-                }
-            )
-        for (name, labels), state in sorted(self._histograms.items()):
-            out.append(
-                {
-                    "type": "histogram",
-                    "name": name,
-                    "labels": dict(labels),
-                    "buckets": list(state["buckets"]),
-                    "counts": list(state["counts"]),
-                    "sum": state["sum"],
-                    "count": state["count"],
-                }
-            )
-        return out
+        """Serialisable snapshots, sorted by (name, labels)."""
+        return [
+            {"type": "counter", "name": name, "labels": dict(labels), "value": value}
+            for (name, labels), value in sorted(self._counters.items())
+        ]
 
     def drain(self) -> list[dict[str, Any]]:
         """Snapshot and reset, so repeated flushes never double-count."""
         out = self.snapshot()
         self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
         return out
 
 
-def _bucket_index(buckets: tuple[float, ...], value: float) -> int:
-    """Index of the first bucket with ``value <= edge`` (+inf last)."""
-    if math.isnan(value):
-        return len(buckets)
-    for index, edge in enumerate(buckets):
-        if value <= edge:
-            return index
-    return len(buckets)
-
-
 def merge_metric_events(events: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Merge ``metric`` trace events, invariantly under permutation.
+    """Sum ``counter`` metric events, invariantly under permutation.
 
-    Counters with the same (name, labels) sum; histograms sum
-    bucket-wise (boundaries must match — the registry pins them);
-    gauges keep the **maximum** value across events. All three folds
-    are commutative and associative, and the merged list is sorted by
-    (type, name, labels) — so merging the same events in *any* order
-    (worker shards read under any file-name permutation) produces the
-    same output, which is what pins
-    :meth:`repro.benchmark.ResultStore.compact_trace` byte-identical
-    across backends whose shard names differ.
+    Counters with the same (name, labels) sum, and the merged list is
+    sorted by (name, labels), so merging the same events in *any*
+    order (worker shards read under any file-name permutation) gives
+    the same output. Other metric types (the gauges and histograms
+    older traces carry) are skipped.
     """
     registry = MetricsRegistry()
     for event in events:
-        labels = event.get("labels", {})
-        kind = event.get("type")
-        if kind == "counter":
-            registry.counter(event["name"], event["value"], **labels)
-        elif kind == "gauge":
-            key = (event["name"], _label_key(labels))
-            value = float(event["value"])
-            previous = registry._gauges.get(key)
-            # NaN-ignoring max: plain max() keeps whichever NaN comes
-            # first, which would break permutation invariance
-            if previous is None or math.isnan(previous):
-                merged_value = value
-            elif math.isnan(value):
-                merged_value = previous
-            else:
-                merged_value = max(previous, value)
-            registry._gauges[key] = merged_value
-        elif kind == "histogram":
-            key = (event["name"], _label_key(labels))
-            state = registry._histograms.get(key)
-            if state is None:
-                registry._histograms[key] = {
-                    "buckets": tuple(event["buckets"]),
-                    "counts": list(event["counts"]),
-                    "sum": float(event["sum"]),
-                    "count": int(event["count"]),
-                }
-            elif state["buckets"] != tuple(event["buckets"]):
-                raise ValueError(
-                    f"histogram {event['name']!r} has mismatched buckets"
-                )
-            else:
-                state["counts"] = [
-                    a + b for a, b in zip(state["counts"], event["counts"])
-                ]
-                state["sum"] += float(event["sum"])
-                state["count"] += int(event["count"])
+        if event.get("type") == "counter":
+            registry.counter(event["name"], event["value"], **event.get("labels", {}))
     return registry.snapshot()

@@ -43,10 +43,14 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.obs.report import load_health
+from repro.obs.report import build_health, read_failures, read_trace_events
 
 #: Heartbeat age (seconds) beyond which a worker is reported stalled.
 DEFAULT_STALL_AFTER = 60.0
+
+#: Reads of a trace that keeps changing under compaction before the
+#: scan settles for the last one.
+_MAX_TRACE_READS = 5
 
 
 @dataclass
@@ -163,15 +167,34 @@ def _journal_record_count(store_path: Path) -> int:
     return count
 
 
-def trace_files(store_path: str | Path) -> list[Path]:
-    """The run's trace files: compacted sidecar first, then shards."""
-    store_path = Path(store_path)
-    stem = store_path.stem
-    parent = store_path.parent
-    main = parent / f"{stem}.trace.jsonl"
-    paths = [main] if main.exists() else []
-    paths.extend(sorted(parent.glob(f"{stem}.trace.*.jsonl")))
-    return paths
+def _file_ids(paths: list[Path]) -> list[tuple[str, int]]:
+    """``(name, inode)`` of each file that still exists."""
+    ids = []
+    for path in paths:
+        try:
+            ids.append((path.name, path.stat().st_ino))
+        except OSError:
+            continue
+    return ids
+
+
+def _read_live_trace(store_path: Path) -> list[dict[str, Any]]:
+    """The trace events of a run that may be compacting its trace.
+
+    Compaction replaces ``{stem}.trace.jsonl`` and then unlinks the
+    worker shards, so a read that overlaps it can miss a shard's
+    events or read them twice. Re-read until the trace files, and the
+    inode of each, are the same after the read as before it.
+    """
+    from repro.benchmark.results import trace_files
+
+    for _ in range(_MAX_TRACE_READS):
+        paths = trace_files(store_path)
+        before = _file_ids(paths)
+        events = read_trace_events(paths)
+        if _file_ids(trace_files(store_path)) == before:
+            break
+    return events
 
 
 def scan_run(
@@ -185,11 +208,12 @@ def scan_run(
     with (``--store``); ``now`` overrides the snapshot clock for
     deterministic tests.
     """
+    from repro.benchmark.results import failures_file
+
     store_path = Path(store_path)
     now = time.time() if now is None else now
-    health = load_health(
-        trace_files(store_path),
-        store_path.parent / f"{store_path.stem}.failures.jsonl",
+    health = build_health(
+        _read_live_trace(store_path), read_failures(failures_file(store_path))
     )
     snapshot = ProgressSnapshot(
         stem=str(store_path),

@@ -22,7 +22,8 @@ nesting levels — compare siblings, not parents with children.
 Event names the fold does not know (such as the per-cell ``fairness``
 events older traces carry) are counted in ``n_events`` and otherwise
 ignored; fairness is read from the store's records instead
-(:func:`repro.obs.audit.build_audit`).
+(:func:`repro.obs.audit.build_audit`). Likewise, span attributes the
+fold does not read (such as older memory samples) are ignored.
 """
 
 from __future__ import annotations
@@ -113,19 +114,10 @@ class RunHealth:
             entries, so a unit both sources report counts once).
         heartbeats: Flushed liveness events observed (unit/cell
             progress beacons the in-flight monitor tails).
-        memory: Per profiled span name (``--profile-memory`` runs):
-            ``{"count", "mem_delta_bytes", "peak_rss_bytes"}`` —
-            samples, net tracemalloc allocation across all samples,
-            and the largest RSS observed at a span exit.
-        peak_rss_bytes: Largest RSS observed across all profiled
-            spans (0 when memory profiling was off).
         backoff_seconds: Total injected retry backoff sleep.
         faults: Injected-fault firings by kind (chaos runs only).
         counters: All merged metric counters, keyed
             ``name{label=value,...}``.
-        gauges: All merged metric gauges, keyed the same way
-            (NaN-ignoring max across shards, see
-            :mod:`repro.obs.metrics`).
         planned: The newest ``planned`` event's ``units``, ``cells``,
             ``workers`` and ``backend`` (empty when none was seen).
         units_merged / records_merged: ``unit_merged`` events and the
@@ -161,12 +153,9 @@ class RunHealth:
     poisoned: int = 0
     timeouts: int = 0
     heartbeats: int = 0
-    memory: dict[str, dict[str, float]] = field(default_factory=dict)
-    peak_rss_bytes: float = 0.0
     backoff_seconds: float = 0.0
     faults: dict[str, int] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
     planned: dict[str, Any] = field(default_factory=dict)
     units_merged: int = 0
     records_merged: int = 0
@@ -276,10 +265,6 @@ def build_health(
     for snapshot in merge_metric_events(metrics):
         name = snapshot["name"]
         labels = snapshot.get("labels", {})
-        if snapshot["type"] == "gauge":
-            health.gauges[_counter_key(name, labels)] = snapshot["value"]
-        if snapshot["type"] != "counter":
-            continue
         health.counters[_counter_key(name, labels)] = snapshot["value"]
         if name in _HIT_RATE_COUNTERS:
             family, label, side = _HIT_RATE_COUNTERS[name]
@@ -323,15 +308,6 @@ def _fold_span(
     attrs = event.get("attrs", {})
     counters = event.get("counters", {})
     durations.setdefault(name, []).append(seconds)
-    if "mem_delta_bytes" in attrs or "rss_bytes" in attrs:
-        memory = health.memory.setdefault(
-            name, {"count": 0, "mem_delta_bytes": 0.0, "peak_rss_bytes": 0.0}
-        )
-        memory["count"] += 1
-        memory["mem_delta_bytes"] += float(attrs.get("mem_delta_bytes", 0.0))
-        rss = float(attrs.get("rss_bytes", 0.0))
-        memory["peak_rss_bytes"] = max(memory["peak_rss_bytes"], rss)
-        health.peak_rss_bytes = max(health.peak_rss_bytes, rss)
     if name == "cell":
         cells.append({**attrs, "seconds": seconds})
         model = str(attrs.get("model", "?"))
@@ -437,14 +413,6 @@ def load_health(
     )
 
 
-def _format_bytes(count: float) -> str:
-    magnitude = abs(count)
-    for unit, scale in (("GiB", 2**30), ("MiB", 2**20), ("KiB", 2**10)):
-        if magnitude >= scale:
-            return f"{count / scale:.1f}{unit}"
-    return f"{count:.0f}B"
-
-
 def _format_seconds(seconds: float) -> str:
     if seconds >= 60.0:
         return f"{seconds / 60.0:.1f}m"
@@ -488,22 +456,6 @@ def render_health_report(health: RunHealth, top: int = 10) -> str:
         f"heartbeats: {health.heartbeats}   "
         f"backoff: {_format_seconds(health.backoff_seconds)}"
     )
-    if health.memory:
-        lines += [
-            "",
-            f"Memory (profiled spans; peak RSS "
-            f"{_format_bytes(health.peak_rss_bytes)})",
-        ]
-        rows = [
-            (
-                name,
-                str(int(stats["count"])),
-                _format_bytes(stats["mem_delta_bytes"]),
-                _format_bytes(stats["peak_rss_bytes"]),
-            )
-            for name, stats in sorted(health.memory.items())
-        ]
-        lines += _table(("span", "samples", "net alloc", "peak rss"), rows)
     if health.phase_totals:
         lines += ["", "Phase totals (spans nest; compare siblings)"]
         rows = [

@@ -10,9 +10,8 @@ The tracer is a process-global object emitting JSONL *events* to a
   threads nest independently).
 - ``event`` — a point occurrence (a retry, an injected fault, a
   poisoned unit) with free-form attributes.
-- ``metric`` — an aggregated counter/gauge/histogram snapshot, flushed
-  from the :class:`repro.obs.metrics.MetricsRegistry` owned by the
-  tracer.
+- ``metric`` — an aggregated counter snapshot, flushed from the
+  :class:`repro.obs.metrics.MetricsRegistry` owned by the tracer.
 
 Every span and point event additionally carries ``ts`` — the
 wall-clock epoch time at span *start* (event emission) — and ``w``,
@@ -28,11 +27,6 @@ per-worker track in both.
 sink, so a read-only tail of the shard files (``python -m repro
 monitor``) observes progress while the run is still in flight —
 ordinary events stay buffered for throughput.
-
-:mod:`repro.obs.profile` may install a pair of span hooks (see
-:func:`install_span_hooks`) sampling memory telemetry at span
-boundaries; with no hooks installed an enabled span pays one global
-read, and a disabled span still costs one attribute lookup.
 
 Disabled tracing costs one attribute lookup: every module-level helper
 first reads ``_TRACER.enabled`` and returns a shared no-op object
@@ -54,7 +48,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -73,25 +67,6 @@ def track_id() -> str:
     if thread is threading.main_thread():
         return f"w{os.getpid()}"
     return f"w{os.getpid()}.t{thread.ident}"
-
-
-#: Optional (on_enter, on_exit) span hooks — installed by
-#: :mod:`repro.obs.profile` to sample memory at span boundaries.
-_SPAN_HOOKS: "tuple[Callable[[Span], None], Callable[[Span], None]] | None" = None
-
-
-def install_span_hooks(
-    on_enter: "Callable[[Span], None]", on_exit: "Callable[[Span], None]"
-) -> None:
-    """Install the (single) pair of span boundary hooks."""
-    global _SPAN_HOOKS
-    _SPAN_HOOKS = (on_enter, on_exit)
-
-
-def uninstall_span_hooks() -> None:
-    """Remove any installed span boundary hooks."""
-    global _SPAN_HOOKS
-    _SPAN_HOOKS = None
 
 
 class TraceSink:
@@ -155,7 +130,6 @@ class Span:
         "_started",
         "seconds",
         "ts",
-        "_mem",
     )
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict[str, Any]) -> None:
@@ -167,8 +141,6 @@ class Span:
         self.seconds = 0.0
         #: Wall-clock epoch seconds at span start (set on ``__enter__``).
         self.ts = 0.0
-        #: Scratch slot for the memory-profiling span hooks.
-        self._mem: Any = None
 
     def set(self, **attrs: Any) -> "Span":
         """Attach or overwrite span attributes."""
@@ -182,16 +154,12 @@ class Span:
 
     def __enter__(self) -> "Span":
         self._tracer._push(self)
-        if _SPAN_HOOKS is not None:
-            _SPAN_HOOKS[0](self)
         self.ts = time.time()
         self._started = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.seconds = time.perf_counter() - self._started
-        if _SPAN_HOOKS is not None:
-            _SPAN_HOOKS[1](self)
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
         self._tracer._pop(self)
@@ -339,9 +307,9 @@ class Tracer:
         is immediately visible to a read-only tail of the sink file, so
         ``python -m repro monitor`` can observe liveness, per-cell
         progress and heartbeat age while the run is in flight. The
-        flush also drains the metrics registry, keeping counters and
-        gauges live too (snapshots merge deterministically at
-        compaction, so eager draining never double-counts).
+        flush also drains the metrics registry, keeping counters live
+        too (snapshots sum at compaction, so eager draining never
+        double-counts).
         """
         if not self.enabled or self._sink is None:
             return
@@ -409,17 +377,3 @@ def counter(name: str, amount: float = 1.0, **labels: Any) -> None:
     if not _TRACER.enabled:
         return
     _TRACER.metrics.counter(name, amount, **labels)
-
-
-def gauge(name: str, value: float, **labels: Any) -> None:
-    """Set a registry gauge on the global tracer."""
-    if not _TRACER.enabled:
-        return
-    _TRACER.metrics.gauge(name, value, **labels)
-
-
-def histogram(name: str, value: float, **labels: Any) -> None:
-    """Observe a value into a registry histogram on the global tracer."""
-    if not _TRACER.enabled:
-        return
-    _TRACER.metrics.histogram(name, value, **labels)

@@ -51,27 +51,27 @@ def test_store_bytes_match_pre_encoding_golden(tmp_path):
 
 
 def test_store_bytes_match_golden_with_full_telemetry(tmp_path):
-    """Heartbeats + memory profiling must be byte-invisible to records.
+    """Every kind of telemetry must be byte-invisible to records.
 
-    The same golden slice runs with the whole telemetry pipeline on —
-    tracing with heartbeat emission and tracemalloc/RSS memory
-    profiling — and must still produce a store fingerprint identical
-    to the fixture. Telemetry may only ever land in trace sidecars,
-    never in a record.
+    The same golden slice runs with tracing on — spans, heartbeats and
+    other point events, and counters — and must still produce a store
+    fingerprint identical to the fixture. Telemetry may only ever land
+    in trace sidecars, never in a record.
     """
     store_path = tmp_path / "study.json"
     store = ResultStore(store_path)
-    run_golden_slice(store, trace=True, profile_memory=True)
+    run_golden_slice(store, trace=True)
 
     trace_path = tmp_path / "study.trace.jsonl"
     assert trace_path.exists() and trace_path.stat().st_size > 0
     events = obs.read_trace_events([trace_path])
     assert any(event.get("name") == "heartbeat" for event in events)
-    assert any(
-        "mem_delta_bytes" in event.get("attrs", {})
+    kinds = {
+        (event["kind"], event.get("type"))
         for event in events
-        if event.get("kind") == "span"
-    ), "profiling must annotate hot spans"
+        if event["kind"] != "event"
+    }
+    assert kinds == {("span", None), ("metric", "counter")}
 
     actual = store_fingerprint(store_path)
     golden = store_fingerprint(GOLDEN)
@@ -79,7 +79,7 @@ def test_store_bytes_match_golden_with_full_telemetry(tmp_path):
     diverged = [name for name in golden if actual[name] != golden[name]]
     assert not diverged, (
         f"store bytes diverged from golden in {diverged} with telemetry "
-        "enabled; heartbeats and memory profiling must be byte-invisible"
+        "enabled; telemetry must be byte-invisible"
     )
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import EXPORT_FORMATS, export_trace, to_chrome_trace
+from repro.obs import export_trace, to_chrome_trace
 from repro.obs.export import _track_ids
 
 
@@ -114,7 +114,7 @@ def test_each_track_gets_process_and_thread_metadata():
     assert meta[("thread_name", 2, 9)] == "w2.t9"
 
 
-def test_counters_and_gauges_become_counter_samples():
+def test_counters_become_counter_samples_and_older_metric_types_are_skipped():
     trace = to_chrome_trace(
         [
             span("cell", ts=1.0, seconds=2.0),
@@ -145,8 +145,8 @@ def test_counters_and_gauges_become_counter_samples():
     samples = {c["name"]: c for c in by_phase(trace, "C")}
     assert samples["timeouts"]["args"]["value"] == 3.0  # merged across shards
     assert samples["cache_hit{cache=featurizer}"]["args"]["value"] == 5.0
-    assert samples["rss_bytes"]["args"]["value"] == 123.0
-    assert not any("seconds" in name for name in samples)  # histograms skipped
+    # the gauge and histogram lines of older traces export nothing
+    assert set(samples) == {"timeouts", "cache_hit{cache=featurizer}"}
     # counter samples land at the end of the timeline (the last span end)
     assert samples["timeouts"]["ts"] == pytest.approx(2e6)
 
@@ -168,15 +168,9 @@ def test_export_trace_round_trips_through_files(tmp_path):
         ):
             handle.write(json.dumps(event) + "\n")
     out = tmp_path / "out" / "study.chrome.json"
-    n_events = export_trace([trace_path], out, format="chrome")
+    n_events = export_trace([trace_path], out)
     payload = json.loads(out.read_text())
     assert len(payload["traceEvents"]) == n_events
     phases = sorted({e["ph"] for e in payload["traceEvents"]})
     assert phases == ["C", "M", "X", "i"]
     assert payload["displayTimeUnit"] == "ms"
-
-
-def test_export_trace_rejects_unknown_format(tmp_path):
-    assert EXPORT_FORMATS == ("chrome",)
-    with pytest.raises(ValueError, match="unknown export format"):
-        export_trace([], tmp_path / "out.json", format="speedscope")

@@ -1,10 +1,8 @@
-"""Tests for the metrics registry and its deterministic merge."""
+"""Tests for the counter registry and its deterministic merge."""
 
-import math
+import itertools
 
-import pytest
-
-from repro.obs import DURATION_BUCKETS, MetricsRegistry, merge_metric_events
+from repro.obs import MetricsRegistry, merge_metric_events
 
 
 def test_counter_accumulates_per_label_set():
@@ -21,45 +19,6 @@ def test_counter_accumulates_per_label_set():
     assert values[("cache_hit", (("cache", "masks"),))] == 1.0
 
 
-def test_gauge_last_write_wins():
-    registry = MetricsRegistry()
-    registry.gauge("workers", 2)
-    registry.gauge("workers", 8)
-    (snapshot,) = registry.snapshot()
-    assert snapshot["type"] == "gauge"
-    assert snapshot["value"] == 8.0
-
-
-def test_histogram_buckets_and_totals():
-    registry = MetricsRegistry()
-    registry.histogram("seconds", 0.0005)  # first bucket (<= 0.001)
-    registry.histogram("seconds", 0.3)  # <= 0.5
-    registry.histogram("seconds", 1e9)  # +inf overflow
-    (snapshot,) = registry.snapshot()
-    assert snapshot["type"] == "histogram"
-    assert snapshot["buckets"] == list(DURATION_BUCKETS)
-    assert len(snapshot["counts"]) == len(DURATION_BUCKETS) + 1
-    assert snapshot["counts"][0] == 1
-    assert snapshot["counts"][DURATION_BUCKETS.index(0.5)] == 1
-    assert snapshot["counts"][-1] == 1
-    assert snapshot["count"] == 3
-    assert snapshot["sum"] == pytest.approx(0.0005 + 0.3 + 1e9)
-
-
-def test_histogram_nan_goes_to_overflow_bucket():
-    registry = MetricsRegistry()
-    registry.histogram("seconds", math.nan)
-    (snapshot,) = registry.snapshot()
-    assert snapshot["counts"][-1] == 1
-
-
-def test_histogram_rejects_changed_buckets():
-    registry = MetricsRegistry()
-    registry.histogram("seconds", 0.1)
-    with pytest.raises(ValueError, match="different buckets"):
-        registry.histogram("seconds", 0.1, buckets=(1.0, 2.0))
-
-
 def test_drain_resets_registry():
     registry = MetricsRegistry()
     registry.counter("hits")
@@ -73,7 +32,7 @@ def test_snapshot_order_is_deterministic():
     for registry, order in ((first, (1, 2)), (second, (2, 1))):
         for index in order:
             registry.counter(f"c{index}")
-            registry.gauge(f"g{index}", index)
+            registry.counter("c", worker=f"w{index}")
     assert first.snapshot() == second.snapshot()
 
 
@@ -82,6 +41,22 @@ def test_snapshot_order_is_deterministic():
 
 def counter_event(name, value, **labels):
     return {"type": "counter", "name": name, "labels": labels, "value": value}
+
+
+def gauge_event(name, value, **labels):
+    return {"type": "gauge", "name": name, "labels": labels, "value": value}
+
+
+#: A histogram metric line as older traces wrote it.
+HISTOGRAM_EVENT = {
+    "type": "histogram",
+    "name": "candidate_fit_seconds",
+    "labels": {},
+    "buckets": [0.1, 1.0],
+    "counts": [1, 0, 0],
+    "sum": 0.05,
+    "count": 1,
+}
 
 
 def test_merge_sums_counters_across_shards():
@@ -100,52 +75,17 @@ def test_merge_sums_counters_across_shards():
     assert values[("cache_hit", (("cache", "masks"),))] == 1.0
 
 
-def test_merge_sums_histograms_bucketwise():
-    registry = MetricsRegistry()
-    registry.histogram("seconds", 0.3)
-    registry.histogram("seconds", 0.0005)
-    shard = registry.snapshot()[0]
-    (merged,) = merge_metric_events([shard, shard])
-    assert merged["count"] == 4
-    assert merged["sum"] == pytest.approx(2 * (0.3 + 0.0005))
-    assert merged["counts"] == [2 * c for c in shard["counts"]]
-
-
-def test_merge_rejects_mismatched_histogram_buckets():
-    base = {
-        "type": "histogram",
-        "name": "seconds",
-        "labels": {},
-        "sum": 1.0,
-        "count": 1,
-    }
-    with pytest.raises(ValueError, match="mismatched buckets"):
-        merge_metric_events(
-            [
-                {**base, "buckets": [1.0, 2.0], "counts": [1, 0, 0]},
-                {**base, "buckets": [1.0, 5.0], "counts": [1, 0, 0]},
-            ]
-        )
-
-
-def gauge_event(name, value, **labels):
-    return {"type": "gauge", "name": name, "labels": labels, "value": value}
-
-
-def test_merge_gauges_keeps_maximum():
+def test_merge_skips_gauges_and_histograms_of_older_traces():
     merged = merge_metric_events(
-        [gauge_event("workers", 2.0), gauge_event("workers", 8.0)]
+        [
+            gauge_event("shm_live_segments", 2.0),
+            HISTOGRAM_EVENT,
+            counter_event("hits", 1.0),
+        ]
     )
     assert merged == [
-        {"type": "gauge", "name": "workers", "labels": {}, "value": 8.0}
+        {"type": "counter", "name": "hits", "labels": {}, "value": 1.0}
     ]
-    # max is order-free: reversing the shards changes nothing
-    assert (
-        merge_metric_events(
-            [gauge_event("workers", 8.0), gauge_event("workers", 2.0)]
-        )
-        == merged
-    )
 
 
 def test_merge_is_deterministic_and_idempotent_shape():
@@ -160,74 +100,15 @@ def test_merge_is_deterministic_and_idempotent_shape():
     assert [s["name"] for s in once] == ["a", "b"]
 
 
-# -- edge cases: permutation invariance, bucket boundaries, non-finite --
-
-
 def test_merge_is_invariant_under_event_permutation():
-    registry = MetricsRegistry()
-    registry.histogram("seconds", 0.3, worker="a")
-    hist = registry.snapshot()[0]
     events = [
         counter_event("hits", 2.0, cache="x"),
         counter_event("hits", 3.0, cache="x"),
         counter_event("misses", 1.0),
-        gauge_event("rss", 100.0, worker="a"),
-        gauge_event("rss", 900.0, worker="a"),
-        gauge_event("rss", 400.0, worker="b"),
-        hist,
-        hist,
+        gauge_event("rss_bytes", 900.0, worker="a"),
+        HISTOGRAM_EVENT,
+        counter_event("hits", 0.5, cache="y"),
     ]
-    import itertools
-
     baseline = merge_metric_events(events)
-    # every permutation of a representative prefix merges identically
-    for permutation in itertools.permutations(events[:5]):
-        assert merge_metric_events(list(permutation) + events[5:]) == baseline
-
-
-def test_merge_gauge_nan_is_ignored_in_any_position():
-    expected = [gauge_event("rss", 7.0)]
-    for events in (
-        [gauge_event("rss", math.nan), gauge_event("rss", 7.0)],
-        [gauge_event("rss", 7.0), gauge_event("rss", math.nan)],
-        [
-            gauge_event("rss", math.nan),
-            gauge_event("rss", 7.0),
-            gauge_event("rss", math.nan),
-        ],
-    ):
-        assert merge_metric_events(events) == expected
-
-
-def test_merge_gauge_all_nan_stays_nan():
-    (merged,) = merge_metric_events(
-        [gauge_event("rss", math.nan), gauge_event("rss", math.nan)]
-    )
-    assert math.isnan(merged["value"])
-
-
-def test_histogram_value_exactly_on_boundary_lands_in_that_bucket():
-    registry = MetricsRegistry()
-    for edge in DURATION_BUCKETS:
-        registry.histogram("seconds", edge)
-    (snapshot,) = registry.snapshot()
-    # buckets are "value <= edge": an exact-boundary observation counts
-    # in the bucket it bounds, never the next one
-    assert snapshot["counts"] == [1] * len(DURATION_BUCKETS) + [0]
-
-
-def test_histogram_infinities():
-    registry = MetricsRegistry()
-    registry.histogram("seconds", -math.inf)  # below every edge
-    registry.histogram("seconds", math.inf)  # above every edge
-    (snapshot,) = registry.snapshot()
-    assert snapshot["counts"][0] == 1
-    assert snapshot["counts"][-1] == 1
-    assert snapshot["count"] == 2
-
-
-def test_histogram_negative_value_lands_in_first_bucket():
-    registry = MetricsRegistry()
-    registry.histogram("seconds", -1.0)
-    (snapshot,) = registry.snapshot()
-    assert snapshot["counts"][0] == 1
+    for permutation in itertools.permutations(events):
+        assert merge_metric_events(list(permutation)) == baseline

@@ -11,7 +11,8 @@ from repro.obs import (
     render_progress,
     scan_run,
 )
-from repro.obs.progress import monitor_run, trace_files
+from repro.benchmark.results import trace_files
+from repro.obs.progress import monitor_run
 
 
 def write_events(path, events):
@@ -442,3 +443,34 @@ def test_scan_run_and_build_health_agree_on_tallies(run_dir, tmp_path):
     ) == (health.retries, health.recovered, health.poisoned, health.heartbeats)
     assert (health.retries, health.recovered, health.poisoned) == (2, 1, 1)
     assert health.heartbeats == 5
+
+
+def test_scan_overlapping_trace_compaction_still_counts_every_cell(
+    run_dir, monkeypatch
+):
+    """Compaction replaces ``trace.jsonl`` and then unlinks the worker
+    shards. A scan that read the old ``trace.jsonl`` just before and
+    finds the shards gone must not report the run's cells as undone."""
+    import io
+    from pathlib import Path
+
+    from repro.benchmark import ResultStore
+
+    store = ResultStore(run_dir)
+    open_path = Path.open
+    compacted = []
+
+    def open_then_compact(self, mode="r", *args, **kwargs):
+        handle = open_path(self, mode, *args, **kwargs)
+        if self == store.trace_path and mode == "r" and not compacted:
+            compacted.append(True)
+            text = handle.read()
+            handle.close()
+            store.compact_trace()
+            return io.StringIO(text)
+        return handle
+
+    monkeypatch.setattr(Path, "open", open_then_compact)
+    snapshot = scan_run(run_dir, now=125.0)
+    assert compacted and store.trace_paths() == [store.trace_path]
+    assert (snapshot.cells_done, snapshot.cells_started) == (2, 1)

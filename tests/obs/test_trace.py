@@ -21,8 +21,6 @@ def test_disabled_helpers_are_noops(tmp_path):
     assert obs.span("cell", model="log_reg") is NOOP_SPAN
     obs.event("retry", attempt=1)
     obs.counter("cache_hit", cache="featurizer")
-    obs.gauge("workers", 2)
-    obs.histogram("seconds", 0.5)
     obs.flush()
     assert list(tmp_path.iterdir()) == []
 
@@ -113,13 +111,13 @@ def test_event_and_metric_emission(tmp_path):
     obs.configure(path)
     obs.event("retry", attempt=1, error="Boom")
     obs.counter("timeouts")
-    obs.gauge("workers", 4)
-    obs.histogram("latency", 0.02)
+    obs.counter("cache_hit", cache="masks")
     obs.flush()
     events = events_in(path)
     kinds = [e["kind"] for e in events]
     assert kinds.count("event") == 1
-    assert kinds.count("metric") == 3
+    assert kinds.count("metric") == 2
+    assert {e["type"] for e in events if e["kind"] == "metric"} == {"counter"}
     (retry,) = [e for e in events if e["kind"] == "event"]
     assert retry["attrs"] == {"attempt": 1, "error": "Boom"}
 

@@ -69,17 +69,6 @@ def test_both_paths_export_comparable_phase_totals(tmp_path, data):
     assert fast_search.best_score_ == naive_search.best_score_
 
 
-def test_candidate_fit_seconds_histogram_exported(tmp_path, data):
-    _, __, ___ = tuned_search(tmp_path, data, True)
-    events = read_trace_events([tmp_path / "tune-True.jsonl"])
-    (histogram,) = [
-        e
-        for e in events
-        if e["kind"] == "metric" and e["name"] == "candidate_fit_seconds"
-    ]
-    assert histogram["count"] == 4  # one observation per candidate
-
-
 def test_health_tallies_dispatch_routes(tmp_path, data):
     _, fast, __ = tuned_search(tmp_path, data, True)
     _, naive, __ = tuned_search(tmp_path, data, False)

@@ -483,14 +483,14 @@ def telemetry_study(tmp_path_factory):
             "300",
             "--repetitions",
             "1",
-            "--profile-memory",  # implies --trace
+            "--trace",
         ]
     )
     assert code == 0
     return store_path
 
 
-def test_profile_memory_implies_trace_and_annotates_spans(telemetry_study):
+def test_traced_study_writes_spans_events_and_counters_only(telemetry_study):
     from repro.benchmark import ResultStore
     from repro.obs import read_trace_events
 
@@ -500,11 +500,10 @@ def test_profile_memory_implies_trace_and_annotates_spans(telemetry_study):
     assert trace_path.exists()
     events = read_trace_events([trace_path])
     assert any(event.get("name") == "heartbeat" for event in events)
-    assert any(
-        "mem_delta_bytes" in event.get("attrs", {})
-        for event in events
-        if event.get("kind") == "span"
-    )
+    assert {event["kind"] for event in events} == {"span", "event", "metric"}
+    assert {
+        event["type"] for event in events if event["kind"] == "metric"
+    } == {"counter"}
 
 
 def test_monitor_once_and_json(telemetry_study, capsys):
@@ -611,8 +610,6 @@ def test_obs_report_json_output(telemetry_study, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_events"] > 0
     assert payload["heartbeats"] > 0
-    assert payload["peak_rss_bytes"] > 0
-    assert "cell" in payload["memory"]
 
 
 @pytest.mark.parametrize(
@@ -628,6 +625,8 @@ def test_obs_report_json_output(telemetry_study, capsys):
         (["obs-baseline", "list", "s.json"], "obs-baseline"),
         (["study", "--store", "s.json", "--ledger"], "--ledger"),
         (["study", "--store", "s.json", "--no-ledger"], "--no-ledger"),
+        (["obs-export", "s.json", "--format", "chrome"], "--format"),
+        (["study", "--store", "s.json", "--profile-memory"], "--profile-memory"),
     ],
 )
 def test_telemetry_flags_rejected_with_message(capsys, argv, flag):
