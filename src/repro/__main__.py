@@ -7,8 +7,7 @@ Subcommands::
     python -m repro study --error-type TYPE --store PATH [options]
     python -m repro tables --store PATH           # Tables II-XIII + XIV
     python -m repro store-migrate STORE           # legacy -> sharded layout
-    python -m repro obs-report STORE [--json]     # run-health summary
-    python -m repro monitor STORE                 # tail an in-flight run
+    python -m repro obs-report STORE [--follow]   # progress + run health
     python -m repro obs-export STORE              # Perfetto-viewable trace
     python -m repro obs-diff STORE_A STORE_B      # cross-run regression diff
     python -m repro obs-audit STORE [--baseline FILE]  # fairness audit/gate
@@ -38,6 +37,7 @@ from repro.reporting import (
     render_impact_matrix,
     render_model_table,
 )
+from repro.reporting.report import TABLE_PLAN
 
 
 def _positive_int(value: str) -> int:
@@ -182,21 +182,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         print(f"store {args.store} is empty; run `python -m repro study` first")
         return 1
     analysis = ImpactAnalysis(store)
-    numbering = {
-        ("missing_values", "PP", False): "II",
-        ("missing_values", "EO", False): "III",
-        ("missing_values", "PP", True): "IV",
-        ("missing_values", "EO", True): "V",
-        ("outliers", "PP", False): "VI",
-        ("outliers", "EO", False): "VII",
-        ("outliers", "PP", True): "VIII",
-        ("outliers", "EO", True): "IX",
-        ("mislabels", "PP", False): "X",
-        ("mislabels", "EO", False): "XI",
-        ("mislabels", "PP", True): "XII",
-        ("mislabels", "EO", True): "XIII",
-    }
-    for (error_type, metric, intersectional), number in numbering.items():
+    for number, error_type, metric, intersectional in TABLE_PLAN:
         matrix = analysis.matrix(error_type, metric, intersectional=intersectional)
         if matrix.total == 0:
             continue
@@ -272,47 +258,29 @@ def _cmd_store_migrate(args: argparse.Namespace) -> int:
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     import json
 
-    from repro.obs import render_health_report
+    from repro.benchmark.results import trace_files
+    from repro.obs import monitor_run, render_health_report
 
-    store = ResultStore(args.store)
-    trace_paths = store.trace_paths()
-    if not trace_paths:
+    if not trace_files(args.store):
         print(
             f"no trace data next to {args.store}; run "
             "`python -m repro study --trace` first"
         )
         return 1
-    health = store.health()
-    if args.json:
-        print(json.dumps(health.to_json(), indent=2, sort_keys=True))
-    else:
-        print(render_health_report(health, top=args.top))
-    return 0
 
+    def render(health) -> str:
+        if args.json:
+            return json.dumps(health.to_json(), indent=2, sort_keys=True)
+        return render_health_report(health, top=args.top)
 
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs import monitor_run, scan_run
-    from repro.benchmark.results import trace_files
-
-    if not trace_files(args.store):
-        print(
-            f"no trace data next to {args.store}; launch the run with "
-            "`python -m repro study --trace` to monitor it"
-        )
-        return 1
-    if args.json:
-        snapshot = scan_run(args.store, stall_after=args.stall_after)
-        print(json.dumps(snapshot.to_json(), indent=2, sort_keys=True))
-        return 0
-    snapshot = monitor_run(
+    monitor_run(
         args.store,
-        interval=args.interval,
         stall_after=args.stall_after,
-        once=args.once,
+        render=render,
+        emit=lambda text: print(text, flush=True),
+        max_iterations=None if args.follow else 1,
     )
-    return 0 if snapshot.complete or args.once else 1
+    return 0
 
 
 def _cmd_obs_export(args: argparse.Namespace) -> int:
@@ -394,15 +362,6 @@ def _cmd_obs_audit(args: argparse.Namespace) -> int:
             print(f"cannot compare against baseline {args.baseline!r}: {error}")
             return 1
         diff = diff_audits(baseline, audit)
-    if args.markdown:
-        from repro.reporting import render_fairness_audit
-
-        document = render_fairness_audit(
-            audit, diff=diff, title=f"Fairness audit: {args.store}"
-        )
-        with open(args.markdown, "w") as handle:
-            handle.write(document + "\n")
-        print(f"wrote {args.markdown}")
     if args.json:
         payload: dict = {"audit": audit.to_json()}
         if diff is not None:
@@ -500,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=False,
         help="write structured trace/metric events to a {store}.trace.jsonl "
         "sidecar (results stay byte-identical; view with `obs-report`, "
-        "tail live with `monitor`, export with `obs-export`)",
+        "follow live with `obs-report --follow`, export with `obs-export`)",
     )
     study.add_argument(
         "--models",
@@ -537,7 +496,9 @@ def build_parser() -> argparse.ArgumentParser:
     migrate.set_defaults(func=_cmd_store_migrate)
 
     obs_report = sub.add_parser(
-        "obs-report", help="render a run-health summary from trace sidecars"
+        "obs-report",
+        help="summarise a traced run's newest run from its trace sidecars: "
+        "progress, ETA, throughput, worker liveness and run health",
     )
     obs_report.add_argument("store", help="result-store path of a traced run")
     obs_report.add_argument(
@@ -551,38 +512,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the RunHealth summary as JSON instead of plain text",
     )
-    obs_report.set_defaults(func=_cmd_obs_report)
-
-    monitor = sub.add_parser(
-        "monitor",
-        help="tail an in-flight traced run read-only: progress, ETA, "
-        "per-configuration throughput, stalled-worker detection",
+    obs_report.add_argument(
+        "--follow",
+        action="store_true",
+        help="re-print every 2 s until the run is complete (read-only; "
+        "safe on an in-flight run)",
     )
-    monitor.add_argument("store", help="result-store path the run was launched with")
-    monitor.add_argument(
-        "--interval",
-        type=_positive_float,
-        default=2.0,
-        help="seconds between refreshes (default 2)",
-    )
-    monitor.add_argument(
+    obs_report.add_argument(
         "--stall-after",
         type=_positive_float,
         default=60.0,
         help="heartbeat age in seconds after which a worker is reported "
         "stalled (default 60)",
     )
-    monitor.add_argument(
-        "--once",
-        action="store_true",
-        help="print a single snapshot and exit instead of polling",
-    )
-    monitor.add_argument(
-        "--json",
-        action="store_true",
-        help="print one snapshot as JSON and exit (implies --once)",
-    )
-    monitor.set_defaults(func=_cmd_monitor)
+    obs_report.set_defaults(func=_cmd_obs_report)
 
     obs_export = sub.add_parser(
         "obs-export",
@@ -659,10 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="print the audit (and diff) as JSON instead of plain text",
-    )
-    obs_audit.add_argument(
-        "--markdown",
-        help="also write a markdown audit report to this path",
     )
     obs_audit.add_argument(
         "--fail-on-fairness-regression",

@@ -841,9 +841,7 @@ def run_parallel_study(
                 merged += 1
         added += merged
         merged_units += 1
-        obs.counter("units_merged")
-        obs.counter("records_merged", merged)
-        # flushed so an in-flight monitor sees the merge frontier move
+        # flushed so a live `obs-report` sees the merge frontier move
         obs.event(
             "unit_merged",
             dataset=unit.dataset,
@@ -979,8 +977,10 @@ def run_parallel_study(
                 backend=options.backend,
                 transport=transport,
             )
-            # flushed immediately: the planned totals are the monitor's
-            # denominator and must be visible before any unit finishes
+            # flushed immediately: the planned totals are a live
+            # `obs-report`'s denominator and must be visible before any
+            # unit finishes; the event's ts also starts the run's scope
+            # in the trace (repro.obs.report)
             obs.flush()
             if in_process:
                 caller_threads = _set_blas_threads(1)

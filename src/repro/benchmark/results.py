@@ -578,9 +578,10 @@ class ResultStore:
     def health(self):
         """Run-health summary from the trace + failures sidecars.
 
-        Returns a :class:`repro.obs.RunHealth` folding every trace
-        event (compacted and still-sharded alike) together with the
-        poisoned-unit sidecar. A store produced without tracing (e.g.
+        Returns a :class:`repro.obs.RunHealth` folding the newest
+        run's trace events (compacted and still-sharded alike) together
+        with the poisoned-unit sidecar, without the clock fields
+        :func:`repro.obs.scan_run` adds. A store produced without tracing (e.g.
         ``--no-trace``) yields an empty but well-formed summary whose
         ``untraced`` flag is set, so callers can distinguish "nothing
         happened" from "nothing was recorded".

@@ -10,13 +10,13 @@ to this reproduction):
 - :mod:`repro.obs.metrics` — counters whose snapshots sum
   deterministically across worker shards.
 - :mod:`repro.obs.report` — the one reducer of trace events:
-  :func:`build_health` folds ``trace.jsonl`` + ``failures.jsonl`` into
-  a :class:`RunHealth` summary, and :func:`render_health_report`
-  renders the plain-text ``python -m repro obs-report`` view.
-- :mod:`repro.obs.progress` — read-only in-flight monitoring: the
-  :class:`RunHealth` fold of the sidecars a live run is already
-  writing, plus journal counts and clock arithmetic (ETA, stalled
-  workers): ``python -m repro monitor``.
+  :func:`build_health` folds the newest run's ``trace.jsonl`` +
+  ``failures.jsonl`` into a :class:`RunHealth`, the one run summary,
+  and :func:`render_health_report` renders it as plain text.
+- :mod:`repro.obs.progress` — :func:`scan_run` reads that summary
+  read-only from the sidecars a live run is already writing, with
+  record counts and the clock (elapsed, rate, ETA, stalled workers):
+  ``python -m repro obs-report [--follow]``.
 - :mod:`repro.obs.export` — Chrome Trace Event Format export for
   Perfetto / speedscope: ``python -m repro obs-export``.
 - :mod:`repro.obs.diff` — noise-aware cross-run regression diffs
@@ -34,9 +34,8 @@ fault injectors) via the module-level helpers below; with tracing off
 every instrumentation point is a no-op, and study results are
 byte-identical with tracing on or off — trace events live in sidecar
 shards (``{stem}.trace*.jsonl``) that never touch the result store.
-A trace holds three kinds of telemetry, each read by a report, the
-monitor, the diff or the export: spans, point events and counter
-metrics.
+A trace holds three kinds of telemetry, each read by the report, the
+diff or the export: spans, point events and counter metrics.
 """
 
 from repro.obs.audit import (
@@ -60,13 +59,7 @@ from repro.obs.diff import (
 )
 from repro.obs.export import export_trace, to_chrome_trace
 from repro.obs.metrics import MetricsRegistry, merge_metric_events
-from repro.obs.progress import (
-    ProgressSnapshot,
-    WorkerStatus,
-    monitor_run,
-    render_progress,
-    scan_run,
-)
+from repro.obs.progress import monitor_run, scan_run
 from repro.obs.report import (
     RunHealth,
     build_health,
@@ -114,10 +107,7 @@ __all__ = [
     "to_chrome_trace",
     "MetricsRegistry",
     "merge_metric_events",
-    "ProgressSnapshot",
-    "WorkerStatus",
     "monitor_run",
-    "render_progress",
     "scan_run",
     "RunHealth",
     "build_health",

@@ -12,7 +12,8 @@ keeps ``python -m repro obs-diff`` quiet on noise while still
 catching "cell p95 regressed 2×" or "incremental reuse rate dropped".
 
 Each side is folded once by :func:`repro.obs.report.build_health`, the
-one event reducer, and every compared quantity is read from the two
+one event reducer (scoped to each trace's newest run; counters cover
+all runs), and every compared quantity is read from the two
 :class:`~repro.obs.report.RunHealth` summaries. The comparison is
 trace-only: it never opens the result store, so two runs can be diffed
 from their ``trace.jsonl`` sidecars alone (e.g. CI artifacts of two

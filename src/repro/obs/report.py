@@ -1,18 +1,27 @@
 """Run-health reporting from ``trace.jsonl`` + ``failures.jsonl``.
 
 :func:`build_health` is the one reducer of trace events: a single pass
-folds a run's events into a :class:`RunHealth` summary — per-phase
-time breakdown with p50/p95, slowest cells, retry/poison/timeout
-tallies, cache hit rates, injected-fault counts, and the progress
-state the in-flight monitor reads (planned totals, merged units,
-cells started/done, per-configuration throughput, each worker track's
-newest heartbeat). :func:`render_health_report` renders it as the
-plain-text report behind ``python -m repro obs-report``; the same data
-is available programmatically as
-:meth:`repro.benchmark.ResultStore.health`. ``monitor``
-(:func:`repro.obs.progress.scan_run`) and ``obs-diff``
-(:func:`repro.obs.diff.diff_runs`) read their numbers from this fold
-too, so the three views cannot disagree.
+folds a run's events into a :class:`RunHealth` summary — progress
+(planned totals, merged units, cells started/done/poisoned,
+completion, per-configuration throughput, each worker track's newest
+heartbeat), per-phase time breakdown with p50/p95, slowest cells,
+retry/poison/timeout tallies, cache hit rates and injected-fault
+counts. :func:`repro.obs.progress.scan_run` adds the clock (elapsed,
+rate, ETA, heartbeat ages) for a live read, and
+:func:`render_health_report` renders the summary as the plain-text
+``python -m repro obs-report`` view. The same fold is available as
+:meth:`repro.benchmark.ResultStore.health`, and ``obs-diff``
+(:func:`repro.obs.diff.diff_runs`) reads its numbers from this fold
+too, so the views cannot disagree.
+
+A store's trace accumulates every traced run against it, so the fold
+is scoped to the newest run: every span and point event whose ``ts``
+is at or after the newest ``planned`` event's ``ts`` belongs to it,
+and every other one is dropped. A failures-sidecar entry counts only
+if that run emitted a ``poison`` event for its unit. Counters carry no
+``ts`` and are summed at compaction, so they cover all runs
+(``RunHealth.runs`` says how many). A trace without a ``planned``
+event folds whole.
 
 Phase totals aggregate *span* events by name. Spans nest (a ``unit``
 span contains its ``prepare`` and ``cell`` spans; a ``cell`` contains
@@ -112,12 +121,16 @@ class RunHealth:
             ``poisoned`` counts distinct ``(dataset, error_type,
             repetition)`` units over ``poison`` events and sidecar
             entries, so a unit both sources report counts once).
+        cells_poisoned: Pending cells of the counted sidecar entries.
         heartbeats: Flushed liveness events observed (unit/cell
-            progress beacons the in-flight monitor tails).
+            progress beacons a live ``obs-report`` reads).
         backoff_seconds: Total injected retry backoff sleep.
         faults: Injected-fault firings by kind (chaos runs only).
         counters: All merged metric counters, keyed
-            ``name{label=value,...}``.
+            ``name{label=value,...}`` — over all runs in the trace.
+        runs: ``planned`` events in the trace: the traced runs whose
+            counters ``counters``, ``cache``, ``reuse`` and
+            ``cells_warm_started`` sum.
         planned: The newest ``planned`` event's ``units``, ``cells``,
             ``workers`` and ``backend`` (empty when none was seen).
         units_merged / records_merged: ``unit_merged`` events and the
@@ -127,11 +140,20 @@ class RunHealth:
         throughput: Per ``(dataset, error_type, model)``:
             ``{"cells", "seconds", "cells_per_second"}`` from
             ``cell_done`` heartbeats.
-        tracks: Per worker track: ``{"last_ts", "last_phase",
-            "cells_done"}`` — its newest timestamped heartbeat and
-            the cells it finished.
-        first_ts / last_ts: Earliest and latest timestamp over all
-            non-metric events (0 when none carried one).
+        tracks: Per worker track with a timestamped heartbeat:
+            ``{"last_ts", "last_phase", "cells_done"}`` — its newest
+            heartbeat and the cells it finished; :func:`scan_run
+            <repro.obs.progress.scan_run>` adds ``age`` and
+            ``stalled``.
+        complete: Every planned cell is done or poisoned.
+        first_ts / last_ts: Earliest and latest timestamp over the
+            folded non-metric events (0 when none carried one).
+        elapsed / cells_per_second / eta_seconds: Clock fields
+            :func:`~repro.obs.progress.scan_run` fills (0, 0 and
+            ``None`` otherwise); the ETA exists only while cells
+            remain at an observed rate.
+        journal_records / store_records: Records journaled so far and
+            already compacted, also filled by ``scan_run``.
         failures: Parsed poisoned-unit sidecar entries.
         n_events: Total trace events consumed.
         untraced: True when the summary was built for a store with no
@@ -151,11 +173,13 @@ class RunHealth:
     retries: int = 0
     recovered: int = 0
     poisoned: int = 0
+    cells_poisoned: int = 0
     timeouts: int = 0
     heartbeats: int = 0
     backoff_seconds: float = 0.0
     faults: dict[str, int] = field(default_factory=dict)
     counters: dict[str, float] = field(default_factory=dict)
+    runs: int = 0
     planned: dict[str, Any] = field(default_factory=dict)
     units_merged: int = 0
     records_merged: int = 0
@@ -165,8 +189,14 @@ class RunHealth:
         default_factory=dict
     )
     tracks: dict[str, dict[str, Any]] = field(default_factory=dict)
+    complete: bool = False
     first_ts: float = 0.0
     last_ts: float = 0.0
+    elapsed: float = 0.0
+    cells_per_second: float = 0.0
+    eta_seconds: float | None = None
+    journal_records: int = 0
+    store_records: int = 0
     failures: list[dict[str, Any]] = field(default_factory=list)
     n_events: int = 0
     untraced: bool = False
@@ -180,6 +210,16 @@ class RunHealth:
         runs must never see ordering noise.
         """
         return _canonical({f.name: getattr(self, f.name) for f in fields(self)})
+
+    @property
+    def remaining_cells(self) -> int:
+        """Planned cells neither done nor poisoned, clamped at 0: a unit
+        poisoned after partial progress lists cells already counted
+        done."""
+        return max(
+            0,
+            self.planned.get("cells", 0) - self.cells_done - self.cells_poisoned,
+        )
 
 
 def _canonical(value: Any) -> Any:
@@ -222,24 +262,32 @@ def build_health(
     events: Sequence[dict[str, Any]],
     failures: Sequence[dict[str, Any]] = (),
 ) -> RunHealth:
-    """Fold trace events + sidecar entries into a :class:`RunHealth`.
+    """Fold the newest run's trace events + sidecar entries into a
+    :class:`RunHealth` (the run scope is in the module docstring).
 
     The failures sidecar is append-only, so a unit poisoned again by a
     re-run has one entry per run; only the newest entry per unit is
     kept.
     """
-    newest = {_unit_key(failure): failure for failure in failures}
-    health = RunHealth(failures=list(newest.values()), n_events=len(events))
+    starts = [
+        float(event.get("ts", 0.0))
+        for event in events
+        if event.get("kind") == "event" and event.get("name") == "planned"
+    ]
+    start = max(starts, default=None)
+    health = RunHealth(runs=len(starts), n_events=len(events))
     cells: list[dict[str, Any]] = []
     durations: dict[str, list[float]] = {}
     metrics: list[dict[str, Any]] = []
-    poisoned = set(newest)
+    poisoned: set[tuple[str, str, str]] = set()
     for event in events:
         kind = event.get("kind")
         if kind == "metric":
             metrics.append(event)
             continue
         ts = float(event.get("ts", 0.0))
+        if start is not None and ts < start:
+            continue  # an earlier run's event
         if ts > 0.0:
             if health.first_ts == 0.0 or ts < health.first_ts:
                 health.first_ts = ts
@@ -248,7 +296,19 @@ def build_health(
             _fold_span(health, event, cells, durations)
         elif kind == "event":
             _fold_event(health, event, ts, poisoned)
-    health.poisoned = len(poisoned)
+    newest = {
+        _unit_key(failure): failure
+        for failure in failures
+        if start is None or _unit_key(failure) in poisoned
+    }
+    health.failures = list(newest.values())
+    health.poisoned = len(poisoned | set(newest))
+    health.cells_poisoned = sum(
+        len(entry.get("pending_cells", ())) for entry in health.failures
+    )
+    health.complete = (
+        health.planned.get("cells", 0) > 0 and health.remaining_cells == 0
+    )
     for name, values in durations.items():
         total = sum(values)  # in event order, before the sort
         values.sort()
@@ -381,18 +441,21 @@ def _fold_heartbeat(
     health: RunHealth, event: dict[str, Any], attrs: dict[str, Any], ts: float
 ) -> None:
     phase = str(attrs.get("phase", "?"))
-    track = health.tracks.setdefault(
-        str(event.get("w", "?")),
-        {"last_ts": 0.0, "last_phase": "", "cells_done": 0},
-    )
-    if ts > 0.0 and ts >= track["last_ts"]:
-        track["last_ts"] = ts
-        track["last_phase"] = phase
+    track = None
+    if ts > 0.0:
+        track = health.tracks.setdefault(
+            str(event.get("w", "?")),
+            {"last_ts": 0.0, "last_phase": "", "cells_done": 0},
+        )
+        if ts >= track["last_ts"]:
+            track["last_ts"] = ts
+            track["last_phase"] = phase
     if phase == "cell_start":
         health.cells_started += 1
     elif phase == "cell_done":
         health.cells_done += 1
-        track["cells_done"] += 1
+        if track is not None:
+            track["cells_done"] += 1
         key = (
             str(attrs.get("dataset", "?")),
             str(attrs.get("error_type", "?")),
@@ -449,6 +512,23 @@ def render_health_report(health: RunHealth, top: int = 10) -> str:
             "untraced store: no trace sidecars were written (run with "
             "--trace for telemetry)"
         )
+    if health.planned:
+        done, total = health.cells_done, health.planned["cells"]
+        # a resumed run can replay more cell_done heartbeats than it
+        # planned; clamp the display instead of reporting > 100%
+        percent = min(100.0, 100.0 * done / total) if total else 0.0
+        eta = health.eta_seconds
+        lines += [
+            f"cells: {done}/{total} ({percent:.0f}%)   units merged: "
+            f"{health.units_merged}/{health.planned['units']}   "
+            f"runs in trace: {health.runs} (newest shown)"
+            + ("   [COMPLETE]" if health.complete else ""),
+            f"records: {health.store_records} compacted + "
+            f"{health.journal_records} journaled   "
+            f"elapsed: {_format_seconds(health.elapsed)}   "
+            f"rate: {health.cells_per_second:.2f} cells/s   "
+            f"eta: {'--' if eta is None else _format_seconds(eta)}",
+        ]
     lines.append(
         f"trace events: {health.n_events}   retries: {health.retries}   "
         f"recovered: {health.recovered}   poisoned: {health.poisoned}   "
@@ -456,6 +536,30 @@ def render_health_report(health: RunHealth, top: int = 10) -> str:
         f"heartbeats: {health.heartbeats}   "
         f"backoff: {_format_seconds(health.backoff_seconds)}"
     )
+    if health.throughput:
+        lines += ["", "Throughput by configuration"]
+        rows = [
+            (
+                "/".join(key),
+                str(int(stats["cells"])),
+                f"{stats['cells_per_second']:.2f}",
+            )
+            for key, stats in sorted(health.throughput.items())
+        ]
+        lines += _table(("configuration", "cells", "cells/s"), rows)
+    if health.tracks:
+        lines += ["", "Workers"]
+        rows = [
+            (
+                name,
+                str(track["cells_done"]),
+                track["last_phase"],
+                f"{track['age']:.1f}s" if "age" in track else "",
+                "STALLED" if track.get("stalled") else "",
+            )
+            for name, track in sorted(health.tracks.items())
+        ]
+        lines += _table(("track", "cells", "last heartbeat", "age", "state"), rows)
     if health.phase_totals:
         lines += ["", "Phase totals (spans nest; compare siblings)"]
         rows = [
@@ -516,7 +620,7 @@ def render_health_report(health: RunHealth, top: int = 10) -> str:
             f"   naive searches: {int(health.tuning.get('naive', 0))}"
         )
     if health.cache:
-        lines += ["", "Caches"]
+        lines += ["", "Caches (all runs)"]
         rows = [
             (
                 name,
@@ -530,7 +634,8 @@ def render_health_report(health: RunHealth, top: int = 10) -> str:
     if health.reuse:
         lines += [
             "",
-            f"Incremental reuse (cells warm-started: {health.cells_warm_started})",
+            "Incremental reuse (all runs; cells warm-started: "
+            f"{health.cells_warm_started})",
         ]
         rows = [
             (

@@ -18,15 +18,15 @@ wall-clock epoch time at span *start* (event emission) — and ``w``,
 the emitting worker track (``w{pid}``, like the executor's journal
 shard naming, or ``w{pid}.t{tid}`` off the main thread). The pair
 is what turns post-hoc sidecars into a live telemetry plane: ``ts``
-anchors the Chrome-trace export (:mod:`repro.obs.export`) and the
-in-flight monitor's heartbeat-age stall detection
-(:mod:`repro.obs.progress`); ``w`` assigns each event to its
-per-worker track in both.
+anchors the Chrome-trace export (:mod:`repro.obs.export`), the
+in-flight heartbeat-age stall detection (:mod:`repro.obs.progress`)
+and the newest-run scope of the fold (:mod:`repro.obs.report`); ``w``
+assigns each event to its per-worker track.
 
 :func:`heartbeat` emits a ``heartbeat`` point event and *flushes* the
 sink, so a read-only tail of the shard files (``python -m repro
-monitor``) observes progress while the run is still in flight —
-ordinary events stay buffered for throughput.
+obs-report --follow``) observes progress while the run is still in
+flight — ordinary events stay buffered for throughput.
 
 Disabled tracing costs one attribute lookup: every module-level helper
 first reads ``_TRACER.enabled`` and returns a shared no-op object
@@ -305,7 +305,7 @@ class Tracer:
 
         Unlike ordinary events — buffered for throughput — a heartbeat
         is immediately visible to a read-only tail of the sink file, so
-        ``python -m repro monitor`` can observe liveness, per-cell
+        ``python -m repro obs-report`` can observe liveness, per-cell
         progress and heartbeat age while the run is in flight. The
         flush also drains the metrics registry, keeping counters live
         too (snapshots sum at compaction, so eager draining never

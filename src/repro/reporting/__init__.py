@@ -1,6 +1,5 @@
 """Text renderers for the paper's tables and figures."""
 
-from repro.reporting.audit_report import render_fairness_audit
 from repro.reporting.tables import (
     render_case_counts,
     render_dataset_table,
@@ -12,7 +11,6 @@ from repro.reporting.report import build_study_report
 
 __all__ = [
     "build_study_report",
-    "render_fairness_audit",
     "render_impact_matrix",
     "render_model_table",
     "render_dataset_table",

@@ -98,8 +98,8 @@ def test_poisoned_unit_firings_and_sidecar_both_observed(chaos_study):
 
 
 def test_report_and_monitor_count_a_poisoned_unit_once(tmp_path):
-    """``obs-report`` (``ResultStore.health``) and ``monitor``
-    (``scan_run``) read the same fold, so a serial traced run that
+    """``ResultStore.health`` and the live read behind ``obs-report``
+    (``scan_run``) are the same fold, so a serial traced run that
     poisons one unit reports it once in both."""
     plan = FaultPlan(
         (Fault("transient_error", "german", "mislabels", 0, attempts=99),)
@@ -114,7 +114,8 @@ def test_report_and_monitor_count_a_poisoned_unit_once(tmp_path):
     )
     assert added == 1  # the healthy repetition
     assert ResultStore(store_path).health().poisoned == 1
-    assert scan_run(store_path).poisoned_units == 1
+    live = scan_run(store_path)
+    assert (live.poisoned, live.cells_poisoned, live.complete) == (1, 1, True)
 
 
 def test_untraced_chaos_run_leaves_no_trace_files(chaos_study):

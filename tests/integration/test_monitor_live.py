@@ -1,14 +1,16 @@
 """Live monitoring of an in-flight multi-worker study.
 
-The acceptance contract of the telemetry pipeline: ``repro monitor``
-observes a *running* executor — not a finished store — purely from its
-trace sidecars, and its progress, throughput, ETA and heartbeat fields
-converge to the planned cell count by the time the run completes.
+The acceptance contract of the telemetry pipeline: ``repro obs-report``
+(:func:`repro.obs.scan_run`) observes a *running* executor — not a
+finished store — purely from its trace sidecars, and its progress,
+throughput, ETA and heartbeat fields converge to the planned cell
+count by the time the run completes.
 The study runs on a two-worker process pool in a separate interpreter
 (so the pool never forks a threaded process), while the test polls
 the very same trace shards the live worker processes are appending to.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ import time
 from pathlib import Path
 
 import repro
+from repro.__main__ import main
 from repro.benchmark import ResultStore
 from repro.obs import scan_run
 
@@ -39,7 +42,7 @@ STUDY = textwrap.dedent(
 )
 
 
-def test_monitor_converges_on_inflight_study(tmp_path):
+def test_monitor_converges_on_inflight_study(tmp_path, capsys):
     store_path = tmp_path / "study.json"
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -68,36 +71,36 @@ def test_monitor_converges_on_inflight_study(tmp_path):
     # progress counters never regress while the run is live
     done_series = [s.cells_done for s in snapshots]
     assert done_series == sorted(done_series)
-    planned = [s for s in snapshots if s.planned_cells > 0]
+    planned = [s for s in snapshots if s.planned]
     for snapshot in planned:
-        assert snapshot.cells_done <= snapshot.planned_cells
+        assert snapshot.cells_done <= snapshot.planned["cells"]
     # once cells complete mid-run, throughput and ETA are live
-    inflight = [s for s in planned if 0 < s.cells_done < s.planned_cells]
+    inflight = [s for s in planned if 0 < s.cells_done < s.planned["cells"]]
     for snapshot in inflight:
         assert snapshot.cells_per_second > 0.0
         assert snapshot.eta_seconds is not None and snapshot.eta_seconds >= 0.0
 
     # -- convergence ----------------------------------------------------
     final = scan_run(store_path)
-    assert final.complete
-    assert final.planned_units == 2  # german x mislabels x 2 repetitions
-    assert final.planned_cells == 2  # one model per unit
-    assert final.cells_done == final.planned_cells
-    assert final.cells_started == final.planned_cells
-    assert final.units_merged == final.planned_units
-    assert final.backend == "process"
-    assert final.workers_planned == 2
+    assert final.complete and final.runs == 1
+    # german x mislabels x 2 repetitions, one model per unit
+    assert final.planned == {
+        "units": 2, "cells": 2, "workers": 2, "backend": "process"
+    }
+    assert final.cells_done == final.cells_started == 2
+    assert final.units_merged == 2
     assert final.eta_seconds is None
-    assert final.retries == 0 and final.poisoned_units == 0
+    assert final.retries == 0 and final.poisoned == 0
     # every completed cell was heartbeated by a live worker track
-    assert final.heartbeats >= 2 * final.planned_cells + final.planned_units
-    assert final.workers, "worker heartbeats must yield worker status rows"
-    assert sum(worker.cells_done for worker in final.workers) == final.cells_done
-    assert all(not worker.stalled for worker in final.workers)
+    assert final.heartbeats >= 2 * 2 + 2
+    tracks = final.tracks.values()
+    assert tracks, "worker heartbeats must yield worker tracks"
+    assert sum(track["cells_done"] for track in tracks) == final.cells_done
+    assert all(not track["stalled"] for track in tracks)
     throughput_cells = sum(
         stats["cells"] for stats in final.throughput.values()
     )
-    assert throughput_cells == final.planned_cells
+    assert throughput_cells == 2
     for key in final.throughput:
         assert key[:2] == ("german", "mislabels")
 
@@ -108,3 +111,7 @@ def test_monitor_converges_on_inflight_study(tmp_path):
     assert compacted.complete
     assert compacted.cells_done == final.cells_done
     assert compacted.store_records == len(store)
+    assert main(["obs-report", str(store_path), "--json", "--follow"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["complete"] is True
+    assert payload["cells_done"] == final.cells_done

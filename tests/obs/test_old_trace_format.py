@@ -115,8 +115,9 @@ def test_every_trace_reader_exits_zero_on_an_old_format_trace(tmp_path, capsys):
     health = json.loads(capsys.readouterr().out)
     assert health["cells_done"] == 2
     assert health["counters"] == {"cache_hit": 7.0, "units_merged": 1.0}
-    assert main(["monitor", store, "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["complete"] is True
+    assert health["complete"] is True
+    assert main(["obs-report", store, "--follow"]) == 0
+    assert "[COMPLETE]" in capsys.readouterr().out
     assert main(["obs-export", store]) == 0
     capsys.readouterr()
     chrome = json.loads((tmp_path / "study.trace.chrome.json").read_text())

@@ -5,14 +5,13 @@ import json
 import pytest
 
 from repro.obs import (
-    ProgressSnapshot,
+    RunHealth,
     load_health,
+    monitor_run,
     render_health_report,
-    render_progress,
     scan_run,
 )
 from repro.benchmark.results import trace_files
-from repro.obs.progress import monitor_run
 
 
 def write_events(path, events):
@@ -46,6 +45,23 @@ def heartbeat_event(ts, track, phase, **attrs):
         "ts": ts,
         "w": track,
         "attrs": {"phase": phase, **attrs},
+    }
+
+
+def poison_event(ts, repetition=0):
+    return {
+        "v": 1,
+        "kind": "event",
+        "name": "poison",
+        "ts": ts,
+        "w": "w1",
+        "attrs": {
+            "dataset": "german",
+            "error_type": "mislabels",
+            "repetition": repetition,
+            "attempts": 3,
+            "error": "RuntimeError: dead",
+        },
     }
 
 
@@ -102,10 +118,10 @@ def run_dir(tmp_path):
 
 def test_scan_counts_cells_and_units(run_dir):
     snapshot = scan_run(run_dir, now=125.0)
-    assert snapshot.planned_units == 2
-    assert snapshot.planned_cells == 4
-    assert snapshot.workers_planned == 2
-    assert snapshot.backend == "process"
+    assert snapshot.planned == {
+        "units": 2, "cells": 4, "workers": 2, "backend": "process"
+    }
+    assert snapshot.runs == 1
     assert snapshot.cells_started == 1
     assert snapshot.cells_done == 2
     assert snapshot.units_merged == 1
@@ -116,7 +132,7 @@ def test_scan_counts_cells_and_units(run_dir):
 
 def test_scan_throughput_and_eta(run_dir):
     snapshot = scan_run(run_dir, now=125.0)
-    assert snapshot.started_ts == 100.0
+    assert snapshot.first_ts == 100.0
     assert snapshot.elapsed == pytest.approx(25.0)
     assert snapshot.cells_per_second == pytest.approx(2 / 25.0)
     # 2 remaining cells at 0.08 cells/s
@@ -128,12 +144,12 @@ def test_scan_throughput_and_eta(run_dir):
 
 def test_scan_detects_stalled_worker(run_dir):
     snapshot = scan_run(run_dir, now=200.0, stall_after=60.0)
-    by_track = {worker.track: worker for worker in snapshot.workers}
-    assert by_track["w2"].stalled  # last heartbeat at 110 -> age 90
-    assert by_track["w3"].age == pytest.approx(80.0)
-    assert by_track["w3"].stalled
-    assert by_track["w2"].cells_done == 1
-    assert by_track["w2"].last_phase == "cell_done"
+    by_track = snapshot.tracks
+    assert by_track["w2"]["stalled"]  # last heartbeat at 110 -> age 90
+    assert by_track["w3"]["age"] == pytest.approx(80.0)
+    assert by_track["w3"]["stalled"]
+    assert by_track["w2"]["cells_done"] == 1
+    assert by_track["w2"]["last_phase"] == "cell_done"
 
 
 def test_scan_complete_run_reports_no_stalls(tmp_path):
@@ -151,13 +167,16 @@ def test_scan_complete_run_reports_no_stalls(tmp_path):
     snapshot = scan_run(store_path, now=10_000.0)
     assert snapshot.complete
     assert snapshot.eta_seconds is None
-    assert all(not worker.stalled for worker in snapshot.workers)
+    assert snapshot.tracks and not any(
+        track["stalled"] for track in snapshot.tracks.values()
+    )
 
 
 def test_poisoned_cells_count_toward_completion(tmp_path):
     store_path = tmp_path / "study.json"
     write_events(
-        tmp_path / "study.trace.jsonl", [planned_event(100.0, units=2, cells=2)]
+        tmp_path / "study.trace.jsonl",
+        [planned_event(100.0, units=2, cells=2), poison_event(150.0)],
     )
     (tmp_path / "study.failures.jsonl").write_text(
         json.dumps(
@@ -182,7 +201,13 @@ def test_re_poisoned_unit_counts_once(tmp_path):
     sidecar entry; the fold keeps the newest, so the unit counts once."""
     store_path = tmp_path / "study.json"
     write_events(
-        tmp_path / "study.trace.jsonl", [planned_event(100.0, units=1, cells=1)]
+        tmp_path / "study.trace.jsonl",
+        [
+            planned_event(50.0, units=1, cells=1),
+            poison_event(60.0),
+            planned_event(100.0, units=1, cells=1),
+            poison_event(110.0),
+        ],
     )
     failure = {
         "dataset": "german",
@@ -199,7 +224,7 @@ def test_re_poisoned_unit_counts_once(tmp_path):
     )
     snapshot = scan_run(store_path, now=200.0)
     assert snapshot.cells_poisoned == 1
-    assert snapshot.poisoned_units == 1
+    assert snapshot.poisoned == 1
     health = load_health(trace_files(store_path), failures)
     assert [entry["error"] for entry in health.failures] == ["RuntimeError: second"]
     report = render_health_report(health)
@@ -228,14 +253,14 @@ def test_leftover_ledger_sidecar_never_counts_as_journal_records(run_dir, tmp_pa
 
 def test_scan_empty_run(tmp_path):
     snapshot = scan_run(tmp_path / "study.json", now=1.0)
-    assert isinstance(snapshot, ProgressSnapshot)
-    assert snapshot.planned_cells == 0
+    assert isinstance(snapshot, RunHealth)
+    assert snapshot.planned == {}
     assert not snapshot.complete
-    assert snapshot.workers == []
+    assert snapshot.tracks == {}
 
 
 def test_render_progress_mentions_key_fields(run_dir):
-    text = render_progress(scan_run(run_dir, now=200.0, stall_after=60.0))
+    text = render_health_report(scan_run(run_dir, now=200.0, stall_after=60.0))
     assert "cells: 2/4" in text
     assert "eta:" in text
     assert "german/mislabels/log_reg" in text
@@ -247,14 +272,14 @@ def test_snapshot_to_json_round_trips(run_dir):
     assert json.loads(json.dumps(payload)) == payload
     assert payload["cells_done"] == 2
     assert payload["throughput"]["german/mislabels/log_reg"]["cells"] == 1
-    assert payload["workers"][0]["track"] == "w2"
+    assert payload["tracks"]["w2"]["age"] == pytest.approx(15.0)
 
 
 def test_monitor_run_once_and_until_complete(run_dir, tmp_path):
     lines = []
-    snapshot = monitor_run(run_dir, once=True, emit=lines.append)
+    snapshot = monitor_run(run_dir, emit=lines.append, max_iterations=1)
     assert not snapshot.complete
-    assert lines and "cells:" in lines[0]
+    assert len(lines) == 1 and "cells: 2/4" in lines[0]
     # completing the run makes the polling loop exit on its own
     write_events(
         tmp_path / "study.trace.w4.jsonl",
@@ -353,6 +378,7 @@ def test_all_remaining_cells_poisoned_completes_without_eta(tmp_path):
                 101.0, "w1", "cell_done", dataset="german",
                 error_type="mislabels", model="log_reg", seconds=1.0,
             ),
+            poison_event(102.0),
         ],
     )
     (tmp_path / "study.failures.jsonl").write_text(
@@ -371,7 +397,7 @@ def test_all_remaining_cells_poisoned_completes_without_eta(tmp_path):
     snapshot = scan_run(store_path, now=200.0)
     assert snapshot.complete
     assert snapshot.eta_seconds is None
-    assert "eta: -" in render_progress(snapshot)
+    assert "eta: --" in render_health_report(snapshot)
 
 
 def test_render_clamps_replayed_heartbeats_to_100_percent(tmp_path):
@@ -389,7 +415,7 @@ def test_render_clamps_replayed_heartbeats_to_100_percent(tmp_path):
         tmp_path / "study.trace.jsonl",
         [planned_event(100.0, units=1, cells=2), *done],
     )
-    text = render_progress(scan_run(store_path, now=200.0))
+    text = render_health_report(scan_run(store_path, now=200.0))
     assert "cells: 3/2 (100%)" in text
 
 
@@ -398,13 +424,15 @@ def test_render_clamps_replayed_heartbeats_to_100_percent(tmp_path):
 
 def test_scan_folds_fairness_events(run_dir, tmp_path):
     """``fairness`` events that older traces carry are folded as unknown
-    events: the snapshot equals the one without them."""
+    events: the summary equals the one without them, but for the two
+    events read."""
     before = scan_run(run_dir, now=125.0).to_json()
     write_events(
         tmp_path / "study.trace.w4.jsonl",
         [fairness_event(111.0), fairness_event(112.0, repetition=1)],
     )
     after = scan_run(run_dir, now=125.0).to_json()
+    assert after.pop("n_events") == before.pop("n_events") + 2
     assert after == before
     assert not any("fairness" in key for key in after)
 
@@ -418,7 +446,7 @@ def test_fairness_snapshot_json_is_serialisable_and_sorted(run_dir, tmp_path):
     assert json.loads(json.dumps(payload)) == payload
     keys = list(payload["throughput"])
     assert keys == sorted(keys)
-    assert [worker["track"] for worker in payload["workers"]] == ["w2", "w3"]
+    assert list(payload["tracks"]) == ["w2", "w3"]
 
 
 def test_scan_run_and_build_health_agree_on_tallies(run_dir, tmp_path):
@@ -438,7 +466,7 @@ def test_scan_run_and_build_health_agree_on_tallies(run_dir, tmp_path):
     assert (
         snapshot.retries,
         snapshot.recovered,
-        snapshot.poisoned_units,
+        snapshot.poisoned,
         snapshot.heartbeats,
     ) == (health.retries, health.recovered, health.poisoned, health.heartbeats)
     assert (health.retries, health.recovered, health.poisoned) == (2, 1, 1)
@@ -474,3 +502,69 @@ def test_scan_overlapping_trace_compaction_still_counts_every_cell(
     snapshot = scan_run(run_dir, now=125.0)
     assert compacted and store.trace_paths() == [store.trace_path]
     assert (snapshot.cells_done, snapshot.cells_started) == (2, 1)
+
+
+# -- run scope: a resumed store reports its newest run -------------------
+
+
+def run_german(store_path, repetitions, **executor):
+    from repro.benchmark import ResultStore
+    from repro.testing import FaultyExecutor
+    from repro.testing.fixtures import chaos_config
+
+    FaultyExecutor(trace=True, **executor).run(
+        chaos_config(n_sample=150, n_repetitions=repetitions),
+        ResultStore(store_path),
+        workers=1,
+        datasets=("german",),
+        error_types=("missing_values",),
+    )
+
+
+def obs_report_json(store_path, capsys):
+    from repro.__main__ import main
+
+    capsys.readouterr()
+    assert main(["obs-report", str(store_path), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_resumed_run_aborted_midway_is_not_complete(tmp_path, capsys):
+    """A 1-repetition run, then a 3-repetition re-run killed after 1 of
+    its 2 units: the newest run's denominators, and not complete."""
+    from repro.benchmark import StudyAborted
+
+    store_path = tmp_path / "study.json"
+    run_german(store_path, 1)
+    with pytest.raises(StudyAborted):
+        run_german(store_path, 3, abort_after_units=1)
+    assert not scan_run(store_path).complete
+    payload = obs_report_json(store_path, capsys)
+    assert payload["runs"] == 2
+    assert (payload["units_merged"], payload["planned"]["units"]) == (1, 2)
+    assert (payload["cells_done"], payload["planned"]["cells"]) == (1, 2)
+    assert payload["complete"] is False
+    assert payload["eta_seconds"] > 0
+
+
+def test_stale_poisoned_unit_does_not_complete_a_resumed_run(tmp_path, capsys):
+    """A run poisons rep 0; a 2-repetition re-run completes rep 0 and is
+    killed before rep 1. The stale sidecar entry for rep 0 no longer
+    counts, so the run reads 0 poisoned cells and not complete."""
+    from repro.benchmark import StudyAborted
+    from repro.testing import Fault, FaultPlan
+
+    store_path = tmp_path / "study.json"
+    failing = FaultPlan(
+        (Fault("transient_error", "german", "missing_values", 0, attempts=99),)
+    )
+    run_german(store_path, 1, plan=failing, max_retries=0)
+    assert (tmp_path / "study.failures.jsonl").exists()
+    with pytest.raises(StudyAborted):
+        run_german(store_path, 2, abort_after_units=1)
+    assert not scan_run(store_path).complete
+    payload = obs_report_json(store_path, capsys)
+    assert (payload["cells_poisoned"], payload["poisoned"]) == (0, 0)
+    assert payload["failures"] == []
+    assert (payload["cells_done"], payload["planned"]["cells"]) == (1, 2)
+    assert payload["complete"] is False

@@ -265,7 +265,7 @@ def test_build_health_folds_progress_state():
                                   seconds=3.0, **done)),
         at(7.0, "w2", point_event("heartbeat", phase="cell_start")),
         at(8.0, "w1", point_event("unit_merged", records=2)),
-        point_event("heartbeat", phase="unit_start"),  # untimed
+        point_event("heartbeat", phase="unit_start"),  # untimed: out of scope
     ]
     health = build_health(events)
     assert health.planned == {
@@ -273,7 +273,7 @@ def test_build_health_folds_progress_state():
     }
     assert (health.cells_started, health.cells_done) == (2, 1)
     assert (health.units_merged, health.records_merged) == (1, 2)
-    assert health.heartbeats == 4
+    assert health.heartbeats == 3
     assert health.throughput == {
         ("german", "mislabels", "knn"): {
             "cells": 1.0, "seconds": 3.0, "cells_per_second": 1 / 3.0
@@ -283,10 +283,56 @@ def test_build_health_folds_progress_state():
     assert health.tracks["w2"] == {
         "last_ts": 9.0, "last_phase": "cell_done", "cells_done": 1
     }
-    assert health.tracks["?"]["last_ts"] == 0.0
+    assert list(health.tracks) == ["w2"]
     assert (health.first_ts, health.last_ts) == (5.0, 9.0)
     payload = health.to_json()
     assert list(payload["throughput"]) == ["german/mislabels/knn"]
+
+
+def test_build_health_folds_only_the_newest_run():
+    """Spans and point events older than the newest ``planned`` event
+    belong to an earlier run and are dropped; a sidecar entry counts
+    only if the newest run poisoned its unit; counters cover all runs."""
+    def at(ts, event):
+        return {**event, "ts": ts, "w": "w1"}
+
+    rep0 = {"dataset": "german", "error_type": "mislabels", "repetition": 0}
+    rep1 = {**rep0, "repetition": 1}
+    counter = {"v": 1, "kind": "metric", "type": "counter", "name": "cache_hit",
+               "labels": {"cache": "masks"}, "value": 2.0}
+    events = [
+        at(10.0, point_event("planned", units=1, cells=1)),
+        at(11.0, span_event("cell", seconds=5.0, attrs=rep0)),
+        at(12.0, point_event("heartbeat", phase="cell_done", **rep0)),
+        at(13.0, point_event("poison", error="RuntimeError: x", **rep0)),
+        counter,
+        at(20.0, point_event("planned", units=2, cells=2)),
+        at(21.0, point_event("heartbeat", phase="cell_done", **rep0)),
+        at(22.0, point_event("unit_merged", records=1, **rep0)),
+        counter,
+    ]
+    stale = {**rep0, "pending_cells": [["log_reg", 0]]}
+    health = build_health(events, [stale])
+    assert health.runs == 2
+    assert health.planned["cells"] == 2
+    assert (health.cells_done, health.units_merged) == (1, 1)
+    assert health.phase_totals == {}
+    assert (health.poisoned, health.cells_poisoned, health.failures) == (0, 0, [])
+    assert not health.complete and health.remaining_cells == 1
+    assert health.first_ts == 20.0
+    assert health.cache["masks"]["hits"] == 4.0
+    assert "Caches (all runs)" in render_health_report(health)
+    # the newest run's own poisoning counts, with its sidecar entry
+    events.append(at(23.0, point_event("poison", error="RuntimeError: y", **rep1)))
+    fresh = {**rep1, "pending_cells": [["log_reg", 0]]}
+    health = build_health(events, [stale, fresh])
+    assert (health.poisoned, health.cells_poisoned) == (1, 1)
+    assert health.failures == [fresh] and health.complete
+    # a trace without planned events folds whole
+    unplanned = [e for e in events if e.get("name") != "planned"]
+    health = build_health(unplanned, [stale, fresh])
+    assert (health.runs, health.cells_done, health.poisoned) == (0, 2, 2)
+    assert health.phase_totals["cell"]["count"] == 1
 
 
 def test_render_untraced_banner():

@@ -466,8 +466,8 @@ def test_store_migrate_refuses_corrupt_store_unless_no_verify(tmp_path, capsys):
 
 @pytest.fixture(scope="module")
 def telemetry_study(tmp_path_factory):
-    """One traced + memory-profiled study reused by the telemetry
-    command tests (monitor / obs-export / obs-diff / obs-report)."""
+    """One traced study reused by the telemetry command tests
+    (obs-report / obs-export / obs-diff / obs-audit)."""
     store_dir = tmp_path_factory.mktemp("telemetry")
     store_path = str(store_dir / "store.json")
     code = main(
@@ -506,20 +506,25 @@ def test_traced_study_writes_spans_events_and_counters_only(telemetry_study):
     } == {"counter"}
 
 
-def test_monitor_once_and_json(telemetry_study, capsys):
+def test_obs_report_follow_and_json(telemetry_study, capsys):
+    """The progress header tops the report; ``--follow`` on a finished
+    run prints once and exits 0, as does ``--follow --json``."""
     import json
 
-    assert main(["monitor", telemetry_study, "--once"]) == 0
+    assert main(["obs-report", telemetry_study, "--follow"]) == 0
     out = capsys.readouterr().out
-    assert "cells:" in out and "[COMPLETE]" in out
-    assert main(["monitor", telemetry_study, "--json"]) == 0
+    assert out.count("RUN HEALTH") == 1
+    assert "cells: 3/3 (100%)" in out and "[COMPLETE]" in out
+    assert out.index("[COMPLETE]") < out.index("Phase totals")
+    assert main(["obs-report", telemetry_study, "--json", "--follow"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["complete"] is True
-    assert payload["cells_done"] == payload["planned_cells"] > 0
+    assert payload["complete"] is True and payload["runs"] == 1
+    assert payload["cells_done"] == payload["planned"]["cells"] == 3
+    assert payload["eta_seconds"] is None and payload["elapsed"] > 0
 
 
-def test_monitor_without_trace_data(tmp_path, capsys):
-    assert main(["monitor", str(tmp_path / "none.json")]) == 1
+def test_obs_report_follow_without_trace_data(tmp_path, capsys):
+    assert main(["obs-report", str(tmp_path / "none.json"), "--follow"]) == 1
     assert "--trace" in capsys.readouterr().out
 
 
@@ -615,9 +620,9 @@ def test_obs_report_json_output(telemetry_study, capsys):
 @pytest.mark.parametrize(
     "argv,flag",
     [
-        (["monitor", "s.json", "--interval", "0"], "--interval"),
-        (["monitor", "s.json", "--interval", "-1"], "--interval"),
-        (["monitor", "s.json", "--stall-after", "0"], "--stall-after"),
+        (["obs-report", "s.json", "--interval", "2"], "--interval"),
+        (["obs-report", "s.json", "--follow", "--interval", "1"], "--interval"),
+        (["obs-report", "s.json", "--stall-after", "0"], "--stall-after"),
         (["obs-export", "s.json", "--format", "speedscope"], "--format"),
         (["obs-diff", "a.json"], "store_b"),
         (["obs-diff", "a.json", "b.json", "--threshold", "nope"], "--threshold"),
@@ -627,6 +632,10 @@ def test_obs_report_json_output(telemetry_study, capsys):
         (["study", "--store", "s.json", "--no-ledger"], "--no-ledger"),
         (["obs-export", "s.json", "--format", "chrome"], "--format"),
         (["study", "--store", "s.json", "--profile-memory"], "--profile-memory"),
+        (["monitor", "s.json"], "monitor"),
+        (["monitor", "s.json", "--once"], "monitor"),
+        (["obs-report", "s.json", "--once"], "--once"),
+        (["obs-audit", "x.json", "--markdown", "x.md"], "--markdown"),
     ],
 )
 def test_telemetry_flags_rejected_with_message(capsys, argv, flag):
@@ -666,33 +675,19 @@ def test_obs_audit_json_is_a_baseline_and_self_audit_is_clean(
     assert "no fairness regressions" in out
 
 
-def test_obs_audit_json_and_markdown(telemetry_study, tmp_path, capsys):
+def test_obs_audit_json_with_baseline(telemetry_study, tmp_path, capsys):
     import json
 
     baseline = tmp_path / "baseline.json"
     write_baseline(telemetry_study, baseline, capsys)
-    report = tmp_path / "audit.md"
     code = main(
-        [
-            "obs-audit",
-            telemetry_study,
-            "--baseline",
-            str(baseline),
-            "--json",
-            "--markdown",
-            str(report),
-        ]
+        ["obs-audit", telemetry_study, "--baseline", str(baseline), "--json"]
     )
     assert code == 0
-    out = capsys.readouterr().out
-    payload = json.loads(out[out.index("{"):])
+    payload = json.loads(capsys.readouterr().out)
     assert payload["audit"]["n_records"] == 3
     assert payload["diff"]["regressions"] == []
     assert set(payload) == {"audit", "diff"}
-    document = report.read_text()
-    assert document.startswith("# Fairness audit")
-    assert "No fairness regressions" in document
-    assert "## Audited coordinates" in document
 
 
 def test_obs_audit_is_the_read_only_live_fairness_view(tmp_path, capsys):
@@ -774,15 +769,12 @@ def test_obs_audit_gate_fires_on_injected_regression(gate_study, tmp_path, capsy
     sabotaged = tmp_path / "sabotaged.json"
     assert inject_fairness_regression(gate_study, sabotaged) == 2
     capsys.readouterr()
-    report = tmp_path / "audit.md"
     code = main(
         [
             "obs-audit",
             str(sabotaged),
             "--baseline",
             str(baseline),
-            "--markdown",
-            str(report),
             "--fail-on-fairness-regression",
         ]
     )
@@ -792,7 +784,6 @@ def test_obs_audit_gate_fires_on_injected_regression(gate_study, tmp_path, capsy
     # each regression names its verdict move
     move = r": (better|insignificant) p=\S+ -> (insignificant|worse) p="
     assert re.search(move, out)
-    assert "fairness regression" in report.read_text()
     # report-only mode still exits 0 on the same regression
     assert main(["obs-audit", str(sabotaged), "--baseline", str(baseline)]) == 0
 
