@@ -14,15 +14,14 @@ from repro.stats.impact import Impact
 
 
 def build_report(store) -> str:
-    analysis = ImpactAnalysis(store)
-
     def classify(n_hypotheses_override):
         original = dict(impact_module.HYPOTHESES_PER_ERROR_TYPE)
         impact_module.HYPOTHESES_PER_ERROR_TYPE = {
             key: n_hypotheses_override or value for key, value in original.items()
         }
         try:
-            return analysis.configuration_impacts(
+            # a fresh analysis: an analysis keeps its first classification
+            return ImpactAnalysis(store).configuration_impacts(
                 "missing_values", "PP", intersectional=False
             )
         finally:

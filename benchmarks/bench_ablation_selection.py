@@ -12,6 +12,7 @@ the worst-case (adversarial) pick and a fixed default
 from conftest import save_artifact
 
 from repro import FairnessAwareSelector, ImpactAnalysis
+from repro.reporting.report import paper_tables
 from repro.stats.impact import Impact
 
 _DEFAULTS = {
@@ -21,19 +22,8 @@ _DEFAULTS = {
 }
 
 
-def collect_impacts(store):
-    analysis = ImpactAnalysis(store)
-    impacts = []
-    for error_type in ("missing_values", "outliers", "mislabels"):
-        for metric in ("PP", "EO"):
-            impacts.extend(
-                analysis.configuration_impacts(error_type, metric, intersectional=False)
-            )
-    return impacts
-
-
 def build_report(store) -> str:
-    impacts = collect_impacts(store)
+    impacts = paper_tables(ImpactAnalysis(store))[1].impacts
     selector = FairnessAwareSelector(impacts)
     recommendations = selector.recommend_all()
 

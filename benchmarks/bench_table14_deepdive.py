@@ -10,32 +10,19 @@
 
 from conftest import save_artifact
 
-from repro import DeepDive, ImpactAnalysis
+from repro import ImpactAnalysis
 from repro.reporting import render_case_counts, render_model_table
-
-
-def collect_single_attribute_impacts(store):
-    analysis = ImpactAnalysis(store)
-    impacts = []
-    for error_type in ("missing_values", "outliers", "mislabels"):
-        for metric in ("PP", "EO"):
-            impacts.extend(
-                analysis.configuration_impacts(
-                    error_type, metric, intersectional=False
-                )
-            )
-    return impacts
+from repro.reporting.report import paper_tables
 
 
 def build_report(store) -> str:
-    impacts = collect_single_attribute_impacts(store)
-    deepdive = DeepDive(impacts)
+    __, deepdive = paper_tables(ImpactAnalysis(store))
     sections = [
         render_model_table(
             deepdive.model_summaries(),
             "TABLE XIV: SINGLE-ATTRIBUTE ANALYSIS — IMPACT OF AUTO-CLEANING "
             f"ON ACCURACY AND\nFAIRNESS FOR DIFFERENT ML MODELS ON "
-            f"{len(impacts)} CONFIGURATIONS IN TOTAL.",
+            f"{len(deepdive.impacts)} CONFIGURATIONS IN TOTAL.",
         ),
         render_case_counts(
             deepdive.case_counts(),

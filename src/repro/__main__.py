@@ -21,7 +21,6 @@ from typing import Any, Callable
 
 from repro import (
     DATASET_NAMES,
-    DeepDive,
     DisparityAnalysis,
     ImpactAnalysis,
     StudyConfig,
@@ -37,7 +36,7 @@ from repro.reporting import (
     render_impact_matrix,
     render_model_table,
 )
-from repro.reporting.report import TABLE_PLAN
+from repro.reporting.report import paper_tables
 
 
 def _positive_int(value: str) -> int:
@@ -181,11 +180,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     if len(store) == 0:
         print(f"store {args.store} is empty; run `python -m repro study` first")
         return 1
-    analysis = ImpactAnalysis(store)
-    for number, error_type, metric, intersectional in TABLE_PLAN:
-        matrix = analysis.matrix(error_type, metric, intersectional=intersectional)
-        if matrix.total == 0:
-            continue
+    matrices, deepdive = paper_tables(ImpactAnalysis(store))
+    for (number, error_type, metric, intersectional), matrix in matrices:
         group = "INTERSECTIONAL" if intersectional else "SINGLE-ATTRIBUTE"
         print(
             render_impact_matrix(
@@ -194,14 +190,7 @@ def _cmd_tables(args: argparse.Namespace) -> int:
             )
         )
         print()
-    impacts = []
-    for error_type in ("missing_values", "outliers", "mislabels"):
-        for metric in ("PP", "EO"):
-            impacts.extend(
-                analysis.configuration_impacts(error_type, metric, intersectional=False)
-            )
-    if impacts:
-        deepdive = DeepDive(impacts)
+    if deepdive is not None:
         print(render_model_table(deepdive.model_summaries(), "TABLE XIV: MODELS"))
         print()
         print(render_case_counts(deepdive.case_counts(), "CASE ANALYSIS"))
@@ -273,13 +262,20 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
             return json.dumps(health.to_json(), indent=2, sort_keys=True)
         return render_health_report(health, top=args.top)
 
-    monitor_run(
+    health = monitor_run(
         args.store,
         stall_after=args.stall_after,
         render=render,
         emit=lambda text: print(text, flush=True),
         max_iterations=None if args.follow else 1,
     )
+    if args.follow and health.stalled:
+        print(
+            f"every worker stalled past {args.stall_after:g} s with cells "
+            "remaining; the run is dead",
+            file=sys.stderr,
+        )
+        return 4
     return 0
 
 
@@ -515,8 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     obs_report.add_argument(
         "--follow",
         action="store_true",
-        help="re-print every 2 s until the run is complete (read-only; "
-        "safe on an in-flight run)",
+        help="re-print every 2 s until the run is complete (exit 0) or "
+        "every worker has stalled with cells remaining (exit 4); "
+        "read-only, safe on an in-flight run",
     )
     obs_report.add_argument(
         "--stall-after",

@@ -115,25 +115,13 @@ class DeepDive:
             "win_win": sum(case.has_win_win for case in cases),
         }
 
-    def _count_by(self, fieldname: str, predicate) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for impact in self.impacts:
-            if predicate(impact):
-                key = getattr(impact, fieldname)
-                counts[key] = counts.get(key, 0) + 1
-        return dict(sorted(counts.items()))
-
     def fairness_improvements_by_repair(self) -> dict[str, int]:
         """Fairness-improving configuration counts per repair method."""
-        return self._count_by(
-            "repair", lambda i: i.fairness_impact is Impact.BETTER
-        )
-
-    def fairness_worsenings_by_detection(self) -> dict[str, int]:
-        """Fairness-worsening configuration counts per detection method."""
-        return self._count_by(
-            "detection", lambda i: i.fairness_impact is Impact.WORSE
-        )
+        counts: dict[str, int] = {}
+        for impact in self.impacts:
+            if impact.fairness_impact is Impact.BETTER:
+                counts[impact.repair] = counts.get(impact.repair, 0) + 1
+        return dict(sorted(counts.items()))
 
     def detection_worsening_rates(self) -> dict[str, float]:
         """Per-detection share of configurations that worsen fairness."""

@@ -12,6 +12,7 @@ contingency matrices of Tables II–XIII.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -32,8 +33,6 @@ HYPOTHESES_PER_ERROR_TYPE = {
     "outliers": 9,
     "mislabels": 1,
 }
-
-_IMPACT_ORDER = (Impact.WORSE, Impact.INSIGNIFICANT, Impact.BETTER)
 
 
 def _group_confusions(
@@ -115,9 +114,7 @@ class ImpactMatrix:
     """A 3x3 fairness-impact × accuracy-impact contingency matrix."""
 
     counts: dict[tuple[Impact, Impact], int] = field(
-        default_factory=lambda: {
-            (f, a): 0 for f in _IMPACT_ORDER for a in _IMPACT_ORDER
-        }
+        default_factory=lambda: {(f, a): 0 for f in Impact for a in Impact}
     )
 
     def add(self, fairness: Impact, accuracy: Impact) -> None:
@@ -135,11 +132,11 @@ class ImpactMatrix:
 
     def fairness_marginal(self, fairness: Impact) -> int:
         """Row total for a fairness impact."""
-        return sum(self.counts[(fairness, a)] for a in _IMPACT_ORDER)
+        return sum(self.counts[(fairness, a)] for a in Impact)
 
     def accuracy_marginal(self, accuracy: Impact) -> int:
         """Column total for an accuracy impact."""
-        return sum(self.counts[(f, accuracy)] for f in _IMPACT_ORDER)
+        return sum(self.counts[(f, accuracy)] for f in Impact)
 
     def fraction(self, fairness: Impact, accuracy: Impact) -> float:
         """Cell share of the total (NaN when empty)."""
@@ -149,11 +146,48 @@ class ImpactMatrix:
 
 
 class ImpactAnalysis:
-    """Classifies configurations and aggregates them into matrices."""
+    """Classifies configurations and aggregates them into matrices.
+
+    One pass over the store serves every query. On first use, one
+    :meth:`~repro.benchmark.ResultStore.iter_records` pass groups the
+    records by (dataset, error type, detection, repair, model) in
+    first-seen order and pairs each configuration's runs in
+    (repetition, tuning seed) order. Each configuration is classified
+    once per fairness metric, for all of its single-attribute and
+    intersectional group keys, and the impacts are kept for the
+    analysis's lifetime; :meth:`configuration_impacts` and
+    :meth:`matrix` filter them. An analysis therefore reflects its
+    store as of its first query: records added later are not seen, so
+    build a new analysis to read them.
+    """
 
     def __init__(self, store: ResultStore, alpha: float = 0.05) -> None:
         self.store = store
         self.alpha = alpha
+        self._runs: list[list[RunRecord]] | None = None
+        self._impacts: dict[str, list[ConfigurationImpact]] = {}
+
+    @property
+    def n_records(self) -> int:
+        """Records the analysis read from its store."""
+        return sum(len(records) for records in self._paired_runs())
+
+    def impacts(self, metric_name: str) -> list[ConfigurationImpact]:
+        """Every configuration × group key classified for one metric.
+
+        In first-seen configuration order, then group-key order.
+        """
+        if metric_name not in self._impacts:
+            self._impacts[metric_name] = [
+                impact
+                for records in self._paired_runs()
+                for impact in self.classify(
+                    records,
+                    group_keys_in_metrics(records[0].metrics, records[0].repair),
+                    (metric_name,),
+                )
+            ]
+        return self._impacts[metric_name]
 
     def configuration_impacts(
         self,
@@ -173,28 +207,14 @@ class ImpactAnalysis:
                 instead of single-attribute ones.
             datasets / models: Optional filters.
         """
-        impacts = []
-        for dataset, detection, repair, model in self._configurations(
-            error_type, datasets, models
-        ):
-            records = list(
-                self.store.records(
-                    dataset=dataset,
-                    error_type=error_type,
-                    detection=detection,
-                    repair=repair,
-                    model=model,
-                )
-            )
-            if not records:
-                continue
-            group_keys = [
-                key
-                for key in group_keys_in_metrics(records[0].metrics, repair)
-                if ("_x_" in key) == intersectional
-            ]
-            impacts.extend(self.classify(records, group_keys, (metric_name,)))
-        return impacts
+        return [
+            impact
+            for impact in self.impacts(metric_name)
+            if impact.error_type == error_type
+            and impact.intersectional == intersectional
+            and (datasets is None or impact.dataset in datasets)
+            and (models is None or impact.model in models)
+        ]
 
     def matrix(
         self,
@@ -286,21 +306,21 @@ class ImpactAnalysis:
                 )
         return impacts
 
-    # -- internals ---------------------------------------------------------
-
-    def _configurations(
-        self,
-        error_type: str,
-        datasets: tuple[str, ...] | None,
-        models: tuple[str, ...] | None,
-    ):
-        seen = set()
-        for record in self.store.records(error_type=error_type):
-            if datasets is not None and record.dataset not in datasets:
-                continue
-            if models is not None and record.model not in models:
-                continue
-            key = (record.dataset, record.detection, record.repair, record.model)
-            if key not in seen:
-                seen.add(key)
-                yield key
+    def _paired_runs(self) -> list[list[RunRecord]]:
+        """Each configuration's records, read in one store pass."""
+        if self._runs is None:
+            configurations: dict[tuple[str, ...], list[RunRecord]] = {}
+            for record in self.store.iter_records():
+                key = (
+                    record.dataset,
+                    record.error_type,
+                    record.detection,
+                    record.repair,
+                    record.model,
+                )
+                configurations.setdefault(key, []).append(record)
+            self._runs = [
+                sorted(records, key=attrgetter("repetition", "tuning_seed"))
+                for records in configurations.values()
+            ]
+        return self._runs

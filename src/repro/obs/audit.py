@@ -5,9 +5,9 @@ first-class telemetry, judged the way the paper judges it. Its one
 source is the group confusion counts the store's records already hold;
 the trace carries no fairness numbers. It has two pieces:
 
-- :func:`build_audit` classifies every (dataset, error_type,
-  detection, repair, model, group) configuration with
-  :meth:`repro.benchmark.ImpactAnalysis.classify`: for each audited
+- :func:`build_audit` regroups the impacts of one
+  :class:`repro.benchmark.ImpactAnalysis` pass per (dataset,
+  error_type, detection, repair, model, group): for each audited
   metric the mean dirty vs repaired |disparity|, and the CleanML
   paired-t verdict (worse / insignificant / better, Bonferroni-
   adjusted) with its p-value — the same classifications Tables II–XIII
@@ -35,9 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -100,22 +98,7 @@ class GroupAudit:
 
     def to_json(self) -> dict[str, Any]:
         """Serialisable representation."""
-        return {
-            "dataset": self.dataset,
-            "error_type": self.error_type,
-            "detection": self.detection,
-            "repair": self.repair,
-            "model": self.model,
-            "group": self.group,
-            "n_runs": self.n_runs,
-            "dirty_acc": self.dirty_acc,
-            "repaired_acc": self.repaired_acc,
-            "accuracy": list(self.accuracy),
-            "gaps": {name: list(pair) for name, pair in sorted(self.gaps.items())},
-            "fairness": {
-                name: list(verdict) for name, verdict in sorted(self.fairness.items())
-            },
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(payload: Mapping[str, Any]) -> "GroupAudit":
@@ -225,63 +208,57 @@ def build_audit(
 ) -> FairnessAudit:
     """Classify a result store into its :class:`FairnessAudit`.
 
-    Streams :meth:`~repro.benchmark.ResultStore.iter_records` once,
-    groups the records by configuration and pairs each configuration's
-    runs in (repetition, tuning seed) order, so serial and parallel
-    runs of the same grid audit identically.
+    Regroups :class:`~repro.benchmark.ImpactAnalysis`'s impacts per
+    configuration × group, sorted by configuration: the analysis reads
+    the store once and pairs each configuration's runs in (repetition,
+    tuning seed) order, so serial and parallel runs of the same grid
+    audit identically.
     """
     from repro.benchmark.impact import ImpactAnalysis
-    from repro.fairness.confusion import group_keys_in_metrics
 
-    configurations: dict[tuple[str, ...], list] = {}
-    n_records = 0
-    for record in store.iter_records():
-        n_records += 1
-        key = (
-            record.dataset,
-            record.error_type,
-            record.detection,
-            record.repair,
-            record.model,
-        )
-        configurations.setdefault(key, []).append(record)
     analysis = ImpactAnalysis(store)
-    groups = []
-    for key in sorted(configurations):
-        records = sorted(
-            configurations[key],
-            key=lambda record: (record.repetition, record.tuning_seed),
-        )
-        group_keys = group_keys_in_metrics(records[0].metrics, key[3])
-        impacts = analysis.classify(records, group_keys, tuple(metrics))
-        for group, per_metric in groupby(impacts, key=attrgetter("group_key")):
-            per_metric = list(per_metric)
-            first = per_metric[0]
-            groups.append(
-                GroupAudit(
-                    *key,
-                    group=group,
-                    n_runs=first.n_runs,
-                    dirty_acc=_defined(first.mean_dirty_accuracy),
-                    repaired_acc=_defined(first.mean_clean_accuracy),
-                    accuracy=[first.accuracy_impact.value, first.accuracy_p_value],
-                    gaps={
-                        impact.metric_name: [
-                            _defined(impact.mean_dirty_fairness),
-                            _defined(impact.mean_clean_fairness),
-                        ]
-                        for impact in per_metric
-                    },
-                    fairness={
-                        impact.metric_name: [
-                            impact.fairness_impact.value,
-                            impact.fairness_p_value,
-                        ]
-                        for impact in per_metric
-                    },
-                )
+    by_group: dict[tuple[str, ...], list] = {}
+    for metric in metrics:
+        for impact in analysis.impacts(metric):
+            key = (
+                impact.dataset,
+                impact.error_type,
+                impact.detection,
+                impact.repair,
+                impact.model,
+                impact.group_key,
             )
-    return FairnessAudit(groups=groups, metrics=tuple(metrics), n_records=n_records)
+            by_group.setdefault(key, []).append(impact)
+    groups = []
+    # stable: a configuration's groups keep their group-key order
+    for key, per_metric in sorted(by_group.items(), key=lambda item: item[0][:5]):
+        first = per_metric[0]
+        groups.append(
+            GroupAudit(
+                *key,
+                n_runs=first.n_runs,
+                dirty_acc=_defined(first.mean_dirty_accuracy),
+                repaired_acc=_defined(first.mean_clean_accuracy),
+                accuracy=[first.accuracy_impact.value, first.accuracy_p_value],
+                gaps={
+                    impact.metric_name: [
+                        _defined(impact.mean_dirty_fairness),
+                        _defined(impact.mean_clean_fairness),
+                    ]
+                    for impact in per_metric
+                },
+                fairness={
+                    impact.metric_name: [
+                        impact.fairness_impact.value,
+                        impact.fairness_p_value,
+                    ]
+                    for impact in per_metric
+                },
+            )
+        )
+    return FairnessAudit(
+        groups=groups, metrics=tuple(metrics), n_records=analysis.n_records
+    )
 
 
 @dataclass(frozen=True)

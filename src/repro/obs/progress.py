@@ -31,7 +31,8 @@ skipped by the tolerant JSONL readers. After the run finishes and
 compacts, the same scan still works against the compacted
 ``trace.jsonl`` and reports the run as complete — ``python -m repro
 obs-report --follow`` (:func:`monitor_run`) uses that as its exit
-condition.
+condition, and stops as well on a dead run: one whose every worker
+track has been silent past the stall threshold with cells remaining.
 
 Fairness is not part of the summary: ``python -m repro obs-audit
 STORE`` audits the records journaled so far, read-only, on an
@@ -183,7 +184,9 @@ def monitor_run(
     max_iterations: int | None = None,
 ) -> RunHealth:
     """Scan and emit a run's rendered summary every ``interval``
-    seconds until it is complete (``obs-report --follow``).
+    seconds until it is complete, or until every worker track has
+    been stalled past ``stall_after`` with cells still remaining (a
+    dead run, :attr:`RunHealth.stalled`) — ``obs-report --follow``.
 
     Returns the last summary; ``max_iterations`` bounds the loop
     (``obs-report`` without ``--follow`` is one iteration).
@@ -193,6 +196,6 @@ def monitor_run(
         health = scan_run(store_path, stall_after=stall_after)
         emit(render(health))
         iterations += 1
-        if health.complete or iterations == max_iterations:
+        if health.complete or health.stalled or iterations == max_iterations:
             return health
         time.sleep(interval)

@@ -212,6 +212,20 @@ class RunHealth:
         return _canonical({f.name: getattr(self, f.name) for f in fields(self)})
 
     @property
+    def stalled(self) -> bool:
+        """Incomplete, with every worker track stalled: a dead run.
+
+        Track stalls come from :func:`scan_run
+        <repro.obs.progress.scan_run>`; a run with no track yet is not
+        stalled.
+        """
+        return (
+            not self.complete
+            and bool(self.tracks)
+            and all(track.get("stalled") for track in self.tracks.values())
+        )
+
+    @property
     def remaining_cells(self) -> int:
         """Planned cells neither done nor poisoned, clamped at 0: a unit
         poisoned after partial progress lists cells already counted

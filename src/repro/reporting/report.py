@@ -9,6 +9,8 @@ EXPERIMENTS.md workflow.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.benchmark.deepdive import DeepDive
 from repro.benchmark.impact import ImpactAnalysis, ImpactMatrix
 from repro.benchmark.results import ResultStore
@@ -37,9 +39,7 @@ TABLE_PLAN: tuple[tuple[str, str, str, bool], ...] = (
 
 
 def _matrix_headline(matrix: ImpactMatrix) -> str:
-    """One-sentence summary of a 3x3 matrix's fairness margins."""
-    if matrix.total == 0:
-        return "no configurations evaluated."
+    """One-sentence summary of a non-empty 3x3 matrix's fairness margins."""
     worse = matrix.fairness_marginal(Impact.WORSE)
     better = matrix.fairness_marginal(Impact.BETTER)
     accuracy_worse = matrix.accuracy_marginal(Impact.WORSE)
@@ -52,73 +52,78 @@ def _matrix_headline(matrix: ImpactMatrix) -> str:
     )
 
 
+def paper_tables(
+    analysis: ImpactAnalysis,
+) -> tuple[list[tuple[tuple[str, str, str, bool], ImpactMatrix]], DeepDive | None]:
+    """Tables II–XIII and the Table XIV deep dive from one analysis.
+
+    Returns the non-empty :data:`TABLE_PLAN` matrices in paper order,
+    each with its plan entry, and the :class:`DeepDive` over every
+    error type's single-attribute PP and EO impacts (None when there
+    are none).
+    """
+    matrices = []
+    for entry in TABLE_PLAN:
+        __, error_type, metric, intersectional = entry
+        matrix = analysis.matrix(error_type, metric, intersectional=intersectional)
+        if matrix.total:
+            matrices.append((entry, matrix))
+    impacts = [
+        impact
+        for error_type in ("missing_values", "outliers", "mislabels")
+        for metric in ("PP", "EO")
+        for impact in analysis.configuration_impacts(
+            error_type, metric, intersectional=False
+        )
+    ]
+    return matrices, DeepDive(impacts) if impacts else None
+
+
 def build_study_report(store: ResultStore, title: str = "Study report") -> str:
     """Render a complete markdown report from a result store."""
-    analysis = ImpactAnalysis(store)
-    sections = [f"# {title}", ""]
-    sections.append(f"Result store: {len(store)} run records.")
-    sections.append("")
-
-    for number, error_type, metric, intersectional in TABLE_PLAN:
-        matrix = analysis.matrix(error_type, metric, intersectional=intersectional)
-        if matrix.total == 0:
-            continue
+    matrices, deepdive = paper_tables(ImpactAnalysis(store))
+    sections = [f"# {title}", "", f"Result store: {len(store)} run records.", ""]
+    for (number, error_type, metric, intersectional), matrix in matrices:
         group = "intersectional" if intersectional else "single-attribute"
-        sections.append(
-            f"## Table {number}: {error_type}, {group} groups, {metric}"
-        )
-        sections.append("")
-        sections.append("```")
-        sections.append(
-            render_impact_matrix(matrix, f"Table {number}")
-        )
-        sections.append("```")
-        sections.append("")
-        sections.append(f"Headline: {_matrix_headline(matrix)}")
-        sections.append("")
-
-    impacts = []
-    for error_type in ("missing_values", "outliers", "mislabels"):
-        for metric in ("PP", "EO"):
-            impacts.extend(
-                analysis.configuration_impacts(error_type, metric, intersectional=False)
+        sections += [
+            f"## Table {number}: {error_type}, {group} groups, {metric}",
+            "",
+            "```",
+            render_impact_matrix(matrix, f"Table {number}"),
+            "```",
+            "",
+            f"Headline: {_matrix_headline(matrix)}",
+            "",
+        ]
+    if deepdive is None:
+        return "\n".join(sections)
+    dummy = deepdive.dummy_vs_mode_imputation()
+    sections += [
+        "## Table XIV: model choice",
+        "",
+        "```",
+        render_model_table(deepdive.model_summaries(), "Table XIV"),
+        "```",
+        "",
+        "## Section VI deep dive",
+        "",
+        "```",
+        render_case_counts(deepdive.case_counts(), "Cases"),
+        "```",
+        "",
+        f"- Categorical imputation: dummy improves fairness in "
+        f"{dummy['dummy']} configurations vs {dummy['other']} for mode.",
+    ]
+    rates = deepdive.detection_worsening_rates()
+    for name in ("outliers_sd", "outliers_iqr", "outliers_if"):
+        if name in rates:
+            sections.append(
+                f"- {name}: worsens fairness in {100 * rates[name]:.1f}% "
+                "of its configurations."
             )
-    if impacts:
-        deepdive = DeepDive(impacts)
-        sections.append("## Table XIV: model choice")
-        sections.append("")
-        sections.append("```")
-        sections.append(
-            render_model_table(deepdive.model_summaries(), "Table XIV")
-        )
-        sections.append("```")
-        sections.append("")
-        sections.append("## Section VI deep dive")
-        sections.append("")
-        sections.append("```")
-        sections.append(render_case_counts(deepdive.case_counts(), "Cases"))
-        sections.append("```")
-        sections.append("")
-        dummy = deepdive.dummy_vs_mode_imputation()
-        sections.append(
-            f"- Categorical imputation: dummy improves fairness in "
-            f"{dummy['dummy']} configurations vs {dummy['other']} for mode."
-        )
-        rates = deepdive.detection_worsening_rates()
-        for name in ("outliers_sd", "outliers_iqr", "outliers_if"):
-            if name in rates:
-                sections.append(
-                    f"- {name}: worsens fairness in {100 * rates[name]:.1f}% "
-                    "of its configurations."
-                )
-        leaderboard = deepdive.accuracy_leaderboard()
-        from collections import Counter
-
-        winner_counts = Counter(leaderboard.values())
-        ranked = ", ".join(
-            f"{model} ({count})" for model, count in winner_counts.most_common()
-        )
-        sections.append(
-            f"- Best-accuracy model per dataset/error pair: {ranked}."
-        )
+    winner_counts = Counter(deepdive.accuracy_leaderboard().values())
+    ranked = ", ".join(
+        f"{model} ({count})" for model, count in winner_counts.most_common()
+    )
+    sections.append(f"- Best-accuracy model per dataset/error pair: {ranked}.")
     return "\n".join(sections)

@@ -11,13 +11,6 @@ from repro.benchmark.deepdive import ModelSummary
 from repro.benchmark.impact import ImpactMatrix
 from repro.stats.impact import Impact
 
-_IMPACT_ORDER = (Impact.WORSE, Impact.INSIGNIFICANT, Impact.BETTER)
-_IMPACT_LABELS = {
-    Impact.WORSE: "worse",
-    Impact.INSIGNIFICANT: "insignificant",
-    Impact.BETTER: "better",
-}
-
 
 def _cell(matrix: ImpactMatrix, fairness: Impact, accuracy: Impact) -> str:
     if matrix.total == 0:
@@ -28,18 +21,18 @@ def _cell(matrix: ImpactMatrix, fairness: Impact, accuracy: Impact) -> str:
 
 def render_impact_matrix(matrix: ImpactMatrix, title: str) -> str:
     """Render a 3x3 fairness × accuracy impact matrix (Tables II-XIII)."""
-    header = ["fair. \\ acc."] + [_IMPACT_LABELS[a] for a in _IMPACT_ORDER] + ["total"]
+    header = ["fair. \\ acc."] + [a.value for a in Impact] + ["total"]
     rows = [header]
-    for fairness in _IMPACT_ORDER:
-        row = [_IMPACT_LABELS[fairness]]
-        for accuracy in _IMPACT_ORDER:
+    for fairness in Impact:
+        row = [fairness.value]
+        for accuracy in Impact:
             row.append(_cell(matrix, fairness, accuracy))
         marginal = matrix.fairness_marginal(fairness)
         share = 100 * marginal / matrix.total if matrix.total else 0.0
         row.append(f"{share:.1f}% ({marginal})")
         rows.append(row)
     footer = ["total"]
-    for accuracy in _IMPACT_ORDER:
+    for accuracy in Impact:
         marginal = matrix.accuracy_marginal(accuracy)
         share = 100 * marginal / matrix.total if matrix.total else 0.0
         footer.append(f"{share:.1f}% ({marginal})")

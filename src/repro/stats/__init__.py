@@ -6,6 +6,11 @@
 - :func:`classify_impact` — the CleanML paired-t-test protocol with
   Bonferroni correction used to classify a cleaning technique's impact
   on a score as worse / insignificant / better (RQ2).
+
+Both take their distribution tails from ``scipy.special``, imported
+inside the functions that use it, in the arithmetic of SciPy's own
+``chi2.sf`` and ``ttest_rel``: the p-values are bit-equal to theirs,
+and SciPy's statistics package is never loaded.
 """
 
 from repro.stats.gtest import GTestResult, g_test, g_test_counts

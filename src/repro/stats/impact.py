@@ -41,7 +41,10 @@ def paired_t_test(baseline: np.ndarray, treated: np.ndarray) -> float:
     """Two-sided paired t-test p-value (1.0 for degenerate inputs).
 
     NaN pairs (which occur when a fairness metric is undefined on some
-    run, e.g. no positive predictions in a group) are dropped.
+    run, e.g. no positive predictions in a group) are dropped. The
+    p-value is bit-equal to SciPy's ``ttest_rel(treated,
+    baseline).pvalue``, computed with the same operations on top of
+    ``scipy.special.stdtr``.
     """
     baseline = np.asarray(baseline, dtype=np.float64)
     treated = np.asarray(treated, dtype=np.float64)
@@ -56,10 +59,14 @@ def paired_t_test(baseline: np.ndarray, treated: np.ndarray) -> float:
     differences = treated - baseline
     if np.allclose(differences, 0.0):
         return 1.0
-    from scipy import stats as scipy_stats  # deferred, see repro.stats.gtest
+    from scipy import special  # deferred, see repro.stats.gtest
 
-    result = scipy_stats.ttest_rel(treated, baseline)
-    p_value = float(result.pvalue)
+    n = np.float64(differences.size)
+    mean = np.mean(differences)
+    variance = np.mean((differences - mean) ** 2) * (n / (n - 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = mean / np.sqrt(variance / n)
+    p_value = float(2 * special.stdtr(n - 1, -np.abs(t)))
     return 1.0 if np.isnan(p_value) else p_value
 
 

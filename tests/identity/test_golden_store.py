@@ -15,6 +15,8 @@ takes by default.
 
 from pathlib import Path
 
+import pytest
+
 from repro import obs
 from repro.benchmark import ExecutorOptions, ResultStore, run_parallel_study
 from repro.testing.fixtures import chaos_config, store_fingerprint
@@ -50,7 +52,16 @@ def test_store_bytes_match_pre_encoding_golden(tmp_path):
     )
 
 
-def test_store_bytes_match_golden_with_full_telemetry(tmp_path):
+@pytest.fixture(scope="module")
+def traced_golden(tmp_path_factory):
+    """The golden slice run once with tracing on: (store path, store)."""
+    store_path = tmp_path_factory.mktemp("traced") / "study.json"
+    store = ResultStore(store_path)
+    run_golden_slice(store, trace=True)
+    return store_path, store
+
+
+def test_store_bytes_match_golden_with_full_telemetry(traced_golden):
     """Every kind of telemetry must be byte-invisible to records.
 
     The same golden slice runs with tracing on — spans, heartbeats and
@@ -58,11 +69,8 @@ def test_store_bytes_match_golden_with_full_telemetry(tmp_path):
     fingerprint identical to the fixture. Telemetry may only ever land
     in trace sidecars, never in a record.
     """
-    store_path = tmp_path / "study.json"
-    store = ResultStore(store_path)
-    run_golden_slice(store, trace=True)
-
-    trace_path = tmp_path / "study.trace.jsonl"
+    store_path, __ = traced_golden
+    trace_path = store_path.with_name("study.trace.jsonl")
     assert trace_path.exists() and trace_path.stat().st_size > 0
     events = obs.read_trace_events([trace_path])
     assert any(event.get("name") == "heartbeat" for event in events)
@@ -83,7 +91,7 @@ def test_store_bytes_match_golden_with_full_telemetry(tmp_path):
     )
 
 
-def test_store_bytes_match_golden_with_fairness_telemetry_and_ledger(tmp_path):
+def test_store_bytes_match_golden_with_fairness_telemetry_and_ledger(traced_golden):
     """Tracing must be byte-invisible, and a study keeps no run ledger.
 
     The golden slice runs with tracing on; the store fingerprint must
@@ -93,12 +101,9 @@ def test_store_bytes_match_golden_with_fairness_telemetry_and_ledger(tmp_path):
     """
     from repro.obs import build_audit, diff_audits
 
-    store_path = tmp_path / "study.json"
-    store = ResultStore(store_path)
-    run_golden_slice(store, trace=True)
-
-    assert (tmp_path / "study.trace.jsonl").stat().st_size > 0
-    assert not (tmp_path / "study.ledger.jsonl").exists()
+    store_path, store = traced_golden
+    assert store_path.with_name("study.trace.jsonl").stat().st_size > 0
+    assert not store_path.with_name("study.ledger.jsonl").exists()
     assert store.journal_paths() == []
 
     actual = store_fingerprint(store_path)

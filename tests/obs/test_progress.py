@@ -299,6 +299,45 @@ def test_monitor_run_once_and_until_complete(run_dir, tmp_path):
     assert snapshot.cells_done == 4
 
 
+def test_follow_ends_on_a_dead_run(tmp_path, capsys, monkeypatch):
+    """2 planned cells, 1 done, and the one worker silent since: the
+    follow loop returns on its own, and ``obs-report --follow`` exits 4."""
+    import repro.obs.progress as progress
+    from repro.__main__ import main
+
+    def no_polling(seconds):
+        raise AssertionError("--follow kept polling a dead run")
+
+    store_path = tmp_path / "study.json"
+    write_events(tmp_path / "study.trace.jsonl", [planned_event(100.0, 1, 2)])
+    write_events(tmp_path / "study.trace.w2.jsonl", [])
+    assert not scan_run(store_path, now=500.0).stalled  # no track yet
+    write_events(
+        tmp_path / "study.trace.w2.jsonl",
+        [
+            heartbeat_event(101.0, "w2", "unit_start", n_cells=2),
+            heartbeat_event(
+                110.0, "w2", "cell_done", dataset="german",
+                error_type="mislabels", model="log_reg", seconds=8.0,
+            ),
+        ],
+    )
+    assert not scan_run(store_path, now=150.0, stall_after=60.0).stalled
+    monkeypatch.setattr(progress.time, "sleep", no_polling)
+    lines = []
+    snapshot = monitor_run(store_path, emit=lines.append)
+    assert len(lines) == 1
+    assert snapshot.stalled and not snapshot.complete
+    assert snapshot.cells_done == 1
+    capsys.readouterr()
+    assert main(["obs-report", str(store_path), "--follow"]) == 4
+    captured = capsys.readouterr()
+    assert "cells: 1/2" in captured.out
+    assert "the run is dead" in captured.err
+    # a one-shot report stays a report
+    assert main(["obs-report", str(store_path)]) == 0
+
+
 def test_trace_files_lists_main_then_shards(run_dir, tmp_path):
     names = [path.name for path in trace_files(run_dir)]
     assert names[0] == "study.trace.jsonl"

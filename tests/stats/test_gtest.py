@@ -29,6 +29,15 @@ def test_matches_scipy_log_likelihood_chi2():
     assert ours.p_value == pytest.approx(theirs[1])
 
 
+def test_p_value_is_bit_equal_to_chi2_sf():
+    rng = np.random.default_rng(7)
+    for __ in range(500):
+        result = g_test(rng.integers(1, 60, size=(2, int(rng.integers(2, 5)))))
+        assert result.p_value == float(
+            scipy_stats.chi2.sf(result.statistic, result.dof)
+        )
+
+
 def test_dof_for_2x2():
     assert g_test(np.array([[5, 5], [5, 5]])).dof == 1
 

@@ -33,6 +33,43 @@ def test_paired_t_test_shape_mismatch():
         paired_t_test(np.zeros(3), np.zeros(4))
 
 
+def _ttest_rel_p(baseline, treated):
+    """``scipy.stats.ttest_rel``'s p-value under paired_t_test's rules."""
+    from scipy import stats as scipy_stats
+
+    keep = ~(np.isnan(baseline) | np.isnan(treated))
+    baseline, treated = baseline[keep], treated[keep]
+    if baseline.size < 2 or np.allclose(treated - baseline, 0.0):
+        return 1.0
+    p_value = float(scipy_stats.ttest_rel(treated, baseline).pvalue)
+    return 1.0 if np.isnan(p_value) else p_value
+
+
+def _pairs():
+    rng = np.random.default_rng(2024)
+    yield np.array([0.7, 0.8]), np.array([0.75, 0.9])  # n = 2
+    yield np.array([0.5, np.nan, 0.5, 0.6]), np.array([0.9, 0.9, 0.8, np.nan])
+    yield np.array([0.0, 0.0, 0.0]), np.array([1e-7, 1e-7 + 1e-15, 1e-7])
+    yield np.array([0.3, 0.3, 0.3, 0.3]), np.array([0.4, 0.4, 0.4, 0.4])
+    for __ in range(2000):
+        n = int(rng.integers(2, 20))
+        baseline = rng.normal(0.7, 0.05, size=n)
+        treated = baseline + rng.normal(
+            rng.choice([0.0, 0.01]), rng.choice([1e-9, 1e-3, 0.05]), size=n
+        )
+        if rng.random() < 0.2:
+            treated[rng.integers(n)] = np.nan
+        yield baseline, treated
+
+
+# scipy warns on the near-constant differences the cases include on purpose
+@pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+def test_paired_t_test_is_bit_equal_to_ttest_rel():
+    for baseline, treated in _pairs():
+        expected = _ttest_rel_p(baseline, treated)
+        assert paired_t_test(baseline, treated) == expected, (baseline, treated)
+
+
 def _vectors(shift, n=40, noise=0.01, seed=1):
     rng = np.random.default_rng(seed)
     baseline = rng.normal(0.7, noise, size=n)
