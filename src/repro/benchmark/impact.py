@@ -153,7 +153,8 @@ class ImpactAnalysis:
     records by (dataset, error type, detection, repair, model) in
     first-seen order and pairs each configuration's runs in
     (repetition, tuning seed) order. Each configuration is classified
-    once per fairness metric, for all of its single-attribute and
+    in one :meth:`classify` call for all fairness metrics a query
+    newly asks for, over all of its single-attribute and
     intersectional group keys, and the impacts are kept for the
     analysis's lifetime; :meth:`configuration_impacts` and
     :meth:`matrix` filter them. An analysis therefore reflects its
@@ -172,22 +173,31 @@ class ImpactAnalysis:
         """Records the analysis read from its store."""
         return sum(len(records) for records in self._paired_runs())
 
-    def impacts(self, metric_name: str) -> list[ConfigurationImpact]:
-        """Every configuration × group key classified for one metric.
+    def impacts(self, *metric_names: str) -> list[ConfigurationImpact]:
+        """Every configuration × group key classified for each metric.
 
-        In first-seen configuration order, then group-key order.
+        Metric by metric in argument order, each in first-seen
+        configuration order, then group-key order. The metrics not yet
+        classified are classified together, one :meth:`classify` call
+        per configuration, and each metric's impacts are kept for later
+        queries.
         """
-        if metric_name not in self._impacts:
-            self._impacts[metric_name] = [
-                impact
-                for records in self._paired_runs()
+        missing = tuple(
+            dict.fromkeys(name for name in metric_names if name not in self._impacts)
+        )
+        if missing:
+            classified: dict[str, list[ConfigurationImpact]] = {
+                name: [] for name in missing
+            }
+            for records in self._paired_runs():
                 for impact in self.classify(
                     records,
                     group_keys_in_metrics(records[0].metrics, records[0].repair),
-                    (metric_name,),
-                )
-            ]
-        return self._impacts[metric_name]
+                    missing,
+                ):
+                    classified[impact.metric_name].append(impact)
+            self._impacts.update(classified)
+        return [impact for name in metric_names for impact in self._impacts[name]]
 
     def configuration_impacts(
         self,

@@ -218,17 +218,16 @@ def build_audit(
 
     analysis = ImpactAnalysis(store)
     by_group: dict[tuple[str, ...], list] = {}
-    for metric in metrics:
-        for impact in analysis.impacts(metric):
-            key = (
-                impact.dataset,
-                impact.error_type,
-                impact.detection,
-                impact.repair,
-                impact.model,
-                impact.group_key,
-            )
-            by_group.setdefault(key, []).append(impact)
+    for impact in analysis.impacts(*metrics):
+        key = (
+            impact.dataset,
+            impact.error_type,
+            impact.detection,
+            impact.repair,
+            impact.model,
+            impact.group_key,
+        )
+        by_group.setdefault(key, []).append(impact)
     groups = []
     # stable: a configuration's groups keep their group-key order
     for key, per_metric in sorted(by_group.items(), key=lambda item: item[0][:5]):

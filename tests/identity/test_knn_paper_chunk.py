@@ -11,6 +11,12 @@ on one OpenBLAS thread as in a study process. Another chunk size moves
 the distance digest: the same rows in a matrix of another height can
 sum in another order.
 
+Tuning goes through ``score_grid`` on 3-fold splits of the training
+rows: one such split keeps 7,000 of the 10,500 rows, so its 3,500
+held-out rows are scored in chunks of 571. The ``(3, n_test)``
+predictions for the study's ``n_neighbors`` grid (5, 15, 31) on the
+first stratified split are pinned too.
+
 Regenerate the pins only for an intentional output change::
 
     PYTHONPATH=src python tests/identity/test_knn_paper_chunk.py
@@ -22,14 +28,17 @@ import numpy as np
 import pytest
 
 from repro.benchmark.config import StudyConfig
+from repro.benchmark.models import model_search
 from repro.benchmark.parallel import _set_blas_threads
 from repro.ml import knn
+from repro.ml.model_selection import StratifiedKFold
 
 pytestmark = pytest.mark.identity
 
 PINS = {
     "chunk_distances": "30ae4ac9f0b0526b",
     "predict_proba": "887c795b6f9a72ed",
+    "score_grid": "be34465bbf85ec3f",
 }
 
 
@@ -47,12 +56,26 @@ def seeded_table(n_rows: int, rng: np.random.Generator) -> np.ndarray:
     return np.hstack([numeric, *one_hot])
 
 
-def digests() -> dict[str, str]:
+def paper_data() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_train, n_test = paper_shape()
     rng = np.random.default_rng(20230403)
     X_train = seeded_table(n_train, rng)
     y_train = (X_train[:, 0] + rng.normal(size=n_train) > 0).astype(np.int64)
     X_test = seeded_table(n_test, rng)
+    return X_train, y_train, X_test
+
+
+def knn_grid() -> list[dict[str, int]]:
+    return [{"n_neighbors": k} for k in model_search("knn").param_grid["n_neighbors"]]
+
+
+def first_fold(y_train: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return next(StratifiedKFold(3, 0).split(y_train))
+
+
+def digests() -> dict[str, str]:
+    X_train, y_train, X_test = paper_data()
+    n_train, n_test = paper_shape()
     model = knn.KNearestNeighborsClassifier(n_neighbors=15).fit(X_train, y_train)
     chunk_rows = knn._CHUNK_TARGET_CELLS // n_train
     distances = hashlib.sha256()
@@ -63,11 +86,17 @@ def digests() -> dict[str, str]:
             chunk = model._chunk_distances(X_test[start : start + chunk_rows])
             distances.update(chunk.tobytes())
         proba = model.predict_proba(X_test)
+        fit_idx, held_idx = first_fold(y_train)
+        grid = knn.KNearestNeighborsClassifier().score_grid(
+            X_train[fit_idx], y_train[fit_idx],
+            X_train[held_idx], y_train[held_idx], knn_grid(),
+        )
     finally:
         _set_blas_threads(previous)
     return {
         "chunk_distances": distances.hexdigest()[:16],
         "predict_proba": hashlib.sha256(proba.tobytes()).hexdigest()[:16],
+        "score_grid": hashlib.sha256(grid.tobytes()).hexdigest()[:16],
     }
 
 
@@ -75,6 +104,14 @@ def test_paper_scale_splits_knn_test_rows_into_chunks_of_380():
     n_train, n_test = paper_shape()
     assert (n_train, n_test) == (10_500, 4_500)
     assert knn._CHUNK_TARGET_CELLS // n_train == 380
+
+
+def test_paper_scale_tuning_split_scores_in_chunks_of_571():
+    assert knn_grid() == [{"n_neighbors": k} for k in (5, 15, 31)]
+    __, y_train, __ = paper_data()
+    fit_idx, held_idx = first_fold(y_train)
+    assert knn._CHUNK_TARGET_CELLS // len(fit_idx) == 571
+    assert len(held_idx) > 571
 
 
 def test_paper_scale_knn_chunk_bits_are_pinned():

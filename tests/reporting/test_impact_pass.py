@@ -4,6 +4,8 @@
 store in one ``iter_records`` pass and never filter it with
 ``records(...)``; ``tables`` prints exactly the committed golden
 output (``golden/tables.txt``, captured before the pass was shared).
+``build_audit`` classifies each configuration once for all of its
+metrics.
 """
 
 from pathlib import Path
@@ -12,7 +14,8 @@ import pytest
 
 from repro.__main__ import main
 from repro.benchmark import ResultStore
-from repro.obs import build_audit
+from repro.benchmark.impact import ImpactAnalysis
+from repro.obs import AUDIT_METRICS, build_audit
 
 ROOT = Path(__file__).resolve().parents[2]
 STUDY = ROOT / "benchmarks" / "_results" / "study.json"
@@ -50,3 +53,36 @@ def test_build_audit_reads_the_store_once(store_reads):
     audit = build_audit(ResultStore(STUDY))
     assert audit.n_records == len(ResultStore(STUDY))
     assert store_reads == {"iter_records": 1, "records": 0}
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Count ``ImpactAnalysis.classify`` calls and the metrics of each."""
+    calls = []
+    original = ImpactAnalysis.classify
+
+    def counted(self, records, group_keys, metric_names):
+        calls.append(metric_names)
+        return original(self, records, group_keys, metric_names)
+
+    monkeypatch.setattr(ImpactAnalysis, "classify", counted)
+    return calls
+
+
+def test_build_audit_classifies_each_configuration_once(classify_calls):
+    build_audit(ResultStore(STUDY))
+    assert len(classify_calls) == 222
+    assert set(classify_calls) == {AUDIT_METRICS}
+
+
+def test_impacts_of_several_metrics_fill_the_per_metric_memo(classify_calls):
+    analysis = ImpactAnalysis(ResultStore(STUDY))
+    together = analysis.impacts("PP", "EO")
+    assert len(classify_calls) == 222
+    single = [analysis.impacts("PP"), analysis.impacts("EO")]
+    assert len(classify_calls) == 222
+    assert together == single[0] + single[1]
+    assert {impact.metric_name for impact in single[0]} == {"PP"}
+    # only the metric not yet classified is classified
+    analysis.impacts("EO", "DP")
+    assert classify_calls[222:] == [("DP",)] * 222
