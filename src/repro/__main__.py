@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="reuse computation across a repetition's cleaned versions "
-        "(delta-patched featurisation, shared booster presorts, memoised "
+        "(reused one-hot blocks, shared booster presorts, memoised "
         "tuned evaluations); results are byte-identical either way — "
         "--no-incremental forces every cell to a cold refit",
     )

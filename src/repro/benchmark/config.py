@@ -44,9 +44,10 @@ class StudyConfig:
         incremental: Reuse computation across the cleaned versions of
             a repetition through :mod:`repro.ml.incremental`: row-delta
             manifests pick each repaired version's cheapest parent,
-            featurisation patches the parent's one-hot block, and
-            booster presorts plus whole tuned-model evaluations are
-            shared when inputs coincide byte for byte. Every reuse
+            featurisation reuses the parent's one-hot block whole when
+            no categorical cell changed, and booster presorts plus
+            whole tuned-model evaluations are shared when inputs
+            coincide byte for byte. Every reuse
             path is byte-identical to the cold refit or declines and
             falls back, so stores match a cold run bit for bit;
             ``False`` (the ``--no-incremental`` escape hatch) disables

@@ -593,16 +593,6 @@ class ResultStore:
         health.untraced = not trace_paths
         return health
 
-    def fairness_audit(self):
-        """This store's :class:`repro.obs.FairnessAudit` summary.
-
-        Works on traced and untraced stores alike — the audit reads
-        the stored confusion counts, not the trace.
-        """
-        from repro.obs import build_audit
-
-        return build_audit(self)
-
     def journal_writer(self, shard: str | None = None) -> JournalWriter:
         """An append-only writer for this store's journal.
 

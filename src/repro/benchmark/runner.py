@@ -95,7 +95,7 @@ class _Version:
 
     ``artifacts`` keeps the featurisation's block structure (the same
     matrices as ``features`` plus the fitted encoder/scaler and the
-    numeric/one-hot column split) so a child version can patch it;
+    numeric/one-hot column split) so a child version can reuse it;
     ``delta`` is the row-delta manifest against the selected parent
     version, linked by :meth:`ExperimentRunner._link_deltas` when
     :attr:`StudyConfig.incremental` is on.

@@ -25,7 +25,6 @@ from repro.cleaning.strategies import (
     MISSING_VALUE_REPAIRS,
     OUTLIER_DETECTORS,
     OUTLIER_REPAIRS,
-    repair_method_name,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "MISSING_VALUE_REPAIRS",
     "OUTLIER_DETECTORS",
     "OUTLIER_REPAIRS",
-    "repair_method_name",
 ]

@@ -52,11 +52,6 @@ def outlier_repairs() -> dict[str, OutlierRepair]:
     return repairs
 
 
-def repair_method_name(detection: str, repair: str) -> str:
-    """Canonical result-store name for a (detection, repair) combination."""
-    return f"{detection}/{repair}"
-
-
 # Stable name lists (useful for result-table ordering).
 MISSING_VALUE_REPAIRS: tuple[str, ...] = tuple(missing_value_repairs())
 OUTLIER_DETECTORS: tuple[str, ...] = ("outliers_sd", "outliers_iqr", "outliers_if")

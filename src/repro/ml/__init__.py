@@ -18,14 +18,11 @@ from repro.ml.boosting import GradientBoostedTreesClassifier
 from repro.ml.isolation import IsolationForest
 from repro.ml.model_selection import (
     GridSearchCV,
-    KFold,
     StratifiedKFold,
     cross_val_predict_proba,
     grid_fold_predictions,
     iter_grid_candidates,
-    train_test_split,
 )
-from repro.ml.fair_search import FairnessConstrainedSearch
 from repro.ml import incremental, metrics
 
 __all__ = [
@@ -39,14 +36,11 @@ __all__ = [
     "DecisionTreeRegressor",
     "GradientBoostedTreesClassifier",
     "IsolationForest",
-    "FairnessConstrainedSearch",
     "GridSearchCV",
-    "KFold",
     "StratifiedKFold",
     "cross_val_predict_proba",
     "grid_fold_predictions",
     "iter_grid_candidates",
     "split_single_parameter_grid",
-    "train_test_split",
     "metrics",
 ]

@@ -18,19 +18,21 @@ ever changing a result byte:
   (:data:`RESULT_KINDS`) live in :func:`repetition_results`, shared by
   the sibling units of one ``(dataset, repetition)``.
 - :func:`featurize_version` / :func:`incremental_featurize` — cold and
-  delta-patched featurisation. The incremental path re-encodes only
-  the changed rows of the one-hot block and splices them into a copy
-  of the parent's block; the numeric block is always recomputed (the
-  scaler refit is vectorised and cheap, and any changed numeric cell
-  shifts every standardised value in its column anyway).
+  reused featurisation. When no categorical cell changed, the
+  incremental path reuses the parent's one-hot block whole; otherwise
+  it declines and the version is featurised cold. The numeric block is
+  always recomputed (the scaler refit is vectorised and cheap, and any
+  changed numeric cell shifts every standardised value in its column
+  anyway).
 
 Identity discipline (the PR 3 contract): every reuse path either
 produces output byte-identical to the cold computation or declines and
 falls back. Content-addressed memo hits are identical by construction
 — equal input bytes into a deterministic function give equal output
 bytes. Incremental featurisation is identical by construction because
-one-hot encoding is row-independent and the encoder's fitted
-categories are verified equal before any block is reused.
+it reuses a one-hot block only when no categorical cell changed, so
+the child's categorical columns, and hence its fitted categories, are
+the parent's.
 
 Nothing here activates outside a scope: ``active()`` returns ``None``
 unless the runner opened one, so standalone estimator use — and every
@@ -49,7 +51,7 @@ import numpy as np
 
 from repro import obs
 from repro.ml.featurize import TabularFeaturizer
-from repro.ml.preprocessing import OneHotEncoder, StandardScaler
+from repro.ml.preprocessing import StandardScaler
 from repro.tabular import ColumnKind, Table, aligned_codes
 
 __all__ = [
@@ -172,8 +174,7 @@ class VersionDelta:
         """Parent-selection heuristic: fewer changed cells is better.
 
         Categorical train changes are weighted by the table size
-        because they force a fresh encoder fit plus a category-equality
-        audit before any block can be patched.
+        because they rule out reusing the parent's one-hot block.
         """
         penalty = self.train.n_rows if self.train.changed_categorical else 0
         return int(
@@ -290,7 +291,7 @@ class ReuseScope:
         obs.counter("reuse_hit" if hit else "reuse_miss", kind=kind)
 
     def record(self, kind: str, hit: bool) -> None:
-        """Count a reuse decision made outside :meth:`memo` (e.g. patches)."""
+        """Count a reuse decision made outside :meth:`memo` (e.g. featurize)."""
         self._count(kind, hit)
 
     def hits(self) -> int:
@@ -358,8 +359,8 @@ class FeatureArtifacts:
     ``X_train``/``X_test`` are the matrices the models consume
     (identical to ``TabularFeaturizer.fit(train).transform(...)``);
     ``numeric_width`` is the column offset where the one-hot block
-    starts, which is what lets a child version splice re-encoded rows
-    into a copy of the parent's block.
+    starts, which is what lets a child version reuse the parent's
+    block.
     """
 
     featurizer: TabularFeaturizer
@@ -393,29 +394,6 @@ def _numeric_block(
     return scaler.transform(numeric)
 
 
-def _patched_categorical_block(
-    encoder: OneHotEncoder,
-    names: tuple[str, ...],
-    table: Table,
-    parent_block: np.ndarray,
-    changed_rows: np.ndarray,
-) -> np.ndarray:
-    """Parent's one-hot block with the changed rows re-encoded.
-
-    One-hot encoding is row-independent, so re-encoding exactly the
-    changed rows and splicing them over a copy of the parent's block
-    reproduces the full transform byte for byte. ``changed_rows`` may
-    be a superset of the rows whose categorical cells changed (rows
-    with only numeric changes re-encode to their parent bytes).
-    """
-    if changed_rows.size == 0:
-        return parent_block
-    block = parent_block.copy()
-    columns = [table.categorical(name).take(changed_rows) for name in names]
-    block[changed_rows] = encoder.transform(columns)
-    return block
-
-
 def incremental_featurize(
     feature_columns: tuple[str, ...] | None,
     parent: FeatureArtifacts,
@@ -423,16 +401,15 @@ def incremental_featurize(
     train: Table,
     test: Table,
 ) -> FeatureArtifacts | None:
-    """Featurise a child version by patching its parent's artifacts.
+    """Featurise a child version by reusing its parent's one-hot block.
 
     The numeric block is recomputed (vectorised, cheap, and its scaler
     statistics shift whenever any numeric cell changes); the one-hot
     block — the per-row Python loop that dominates featurisation — is
-    reused: wholesale when no categorical cell changed, by splicing
-    re-encoded changed rows when the refitted encoder's categories
-    match the parent's. Declines (``None``) when there is nothing
-    categorical to reuse, when the fitted categories differ, or when
-    the parent was fitted over different feature columns.
+    reused whole. Declines (``None``) when a categorical cell of the
+    train or test table changed, when there is nothing categorical to
+    reuse, or when the parent was fitted over different feature
+    columns; the caller then featurises cold.
     """
     parent_featurizer = parent.featurizer
     if tuple(feature_columns or ()) != tuple(parent_featurizer.feature_columns or ()):
@@ -441,6 +418,8 @@ def incremental_featurize(
     categorical_names = parent_featurizer._categorical_names
     if not categorical_names:
         # numeric-only featurisation has no expensive part to reuse
+        return None
+    if delta.train.changed_categorical or delta.test.changed_categorical:
         return None
     encoder = parent_featurizer._encoder
     assert encoder is not None
@@ -456,37 +435,8 @@ def incremental_featurize(
         numeric_test = _numeric_block(scaler, numeric_names, test)
         if numeric_test is None:
             return None
-    if delta.train.changed_categorical:
-        refitted = OneHotEncoder().fit(
-            [train.categorical(name) for name in categorical_names]
-        )
-        if refitted.categories_ != encoder.categories_:
-            return None
-        encoder = refitted
-    cat_train_parent = parent.X_train[:, parent.numeric_width :]
-    cat_test_parent = parent.X_test[:, parent.numeric_width :]
-    cat_train = (
-        _patched_categorical_block(
-            encoder,
-            categorical_names,
-            train,
-            cat_train_parent,
-            delta.train.changed_rows,
-        )
-        if delta.train.changed_categorical
-        else cat_train_parent
-    )
-    cat_test = (
-        _patched_categorical_block(
-            encoder,
-            categorical_names,
-            test,
-            cat_test_parent,
-            delta.test.changed_rows,
-        )
-        if delta.test.changed_categorical
-        else cat_test_parent
-    )
+    cat_train = parent.X_train[:, parent.numeric_width :]
+    cat_test = parent.X_test[:, parent.numeric_width :]
     featurizer = TabularFeaturizer(feature_columns=parent_featurizer.feature_columns)
     featurizer._numeric_names = numeric_names
     featurizer._categorical_names = categorical_names

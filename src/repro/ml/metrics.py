@@ -110,16 +110,6 @@ def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def precision_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Precision of the positive class."""
-    return confusion_matrix(y_true, y_pred).precision
-
-
-def recall_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Recall of the positive class."""
-    return confusion_matrix(y_true, y_pred).recall
-
-
 def f1_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """F1 of the positive class."""
     return confusion_matrix(y_true, y_pred).f1
@@ -136,32 +126,3 @@ def log_loss(y_true: np.ndarray, probabilities: np.ndarray) -> float:
     if y_true.shape != p.shape:
         raise ValueError(f"shape mismatch: {y_true.shape} vs {p.shape}")
     return float(-np.mean(y_true * np.log(p) + (1 - y_true) * np.log(1 - p)))
-
-
-def roc_auc_score(y_true: np.ndarray, scores: np.ndarray) -> float:
-    """Area under the ROC curve, computed from the rank statistic.
-
-    Equivalent to the probability that a random positive example
-    receives a higher score than a random negative one (ties count 1/2).
-    """
-    y_true = np.asarray(y_true).astype(np.int64)
-    scores = np.asarray(scores, dtype=np.float64)
-    if y_true.shape != scores.shape:
-        raise ValueError(f"shape mismatch: {y_true.shape} vs {scores.shape}")
-    n_pos = int(np.sum(y_true == 1))
-    n_neg = int(np.sum(y_true == 0))
-    if n_pos == 0 or n_neg == 0:
-        return float("nan")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty_like(order, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    rank_sum_pos = float(np.sum(ranks[y_true == 1]))
-    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -1,8 +1,8 @@
 """Cross-validation and hyperparameter search.
 
-Provides seeded K-fold splitters, an array-level train/test split,
-grid search over a single metric (accuracy), and out-of-fold
-probability prediction (the building block of confident learning).
+Provides a seeded stratified K-fold splitter, grid search over a
+single metric (accuracy), and out-of-fold probability prediction (the
+building block of confident learning).
 
 Grid search dispatches to an estimator's :meth:`~repro.ml.base.\
 BaseClassifier.score_grid` fast path when one is available: the whole
@@ -25,30 +25,6 @@ import numpy as np
 from repro import obs
 from repro.ml.base import BaseClassifier, clone
 from repro.ml.metrics import accuracy_score
-
-
-class KFold:
-    """Shuffled K-fold splitter."""
-
-    def __init__(self, n_splits: int = 5, random_state: int = 0) -> None:
-        if n_splits < 2:
-            raise ValueError(f"n_splits must be >= 2, got {n_splits}")
-        self.n_splits = n_splits
-        self.random_state = random_state
-
-    def split(self, n_samples: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(train_indices, test_indices)`` pairs."""
-        if n_samples < self.n_splits:
-            raise ValueError(
-                f"cannot split {n_samples} samples into {self.n_splits} folds"
-            )
-        rng = np.random.default_rng(self.random_state)
-        permutation = rng.permutation(n_samples)
-        folds = np.array_split(permutation, self.n_splits)
-        for i in range(self.n_splits):
-            test = folds[i]
-            train = np.concatenate([folds[j] for j in range(self.n_splits) if j != i])
-            yield train, test
 
 
 class StratifiedKFold:
@@ -80,36 +56,14 @@ class StratifiedKFold:
             yield train, test
 
 
-def train_test_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    test_fraction: float,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Split arrays into train/test partitions."""
-    X = np.asarray(X)
-    y = np.asarray(y)
-    if len(X) != len(y):
-        raise ValueError(f"length mismatch: X {len(X)} vs y {len(y)}")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    n_test = int(round(len(X) * test_fraction))
-    if n_test == 0 or n_test == len(X):
-        raise ValueError("split leaves an empty partition")
-    permutation = rng.permutation(len(X))
-    test_idx, train_idx = permutation[:n_test], permutation[n_test:]
-    return X[train_idx], X[test_idx], y[train_idx], y[test_idx]
-
-
 def iter_grid_candidates(
     param_grid: dict[str, Sequence[Any]],
 ) -> Iterator[dict[str, Any]]:
     """Enumerate grid candidates in odometer order (first name fastest).
 
-    The shared candidate enumeration of :class:`GridSearchCV` and
-    :class:`repro.ml.fair_search.FairnessConstrainedSearch`; the fast
-    path's first-candidate-wins tie-breaking guarantee is defined over
-    this order.
+    :class:`GridSearchCV`'s candidate enumeration; the fast path's
+    first-candidate-wins tie-breaking guarantee is defined over this
+    order.
     """
     names = list(param_grid)
     counts = [len(param_grid[name]) for name in names]

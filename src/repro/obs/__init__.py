@@ -78,7 +78,6 @@ from repro.obs.trace import (
     counter,
     event,
     flush,
-    get_tracer,
     heartbeat,
     is_enabled,
     scoped,
@@ -124,7 +123,6 @@ __all__ = [
     "counter",
     "event",
     "flush",
-    "get_tracer",
     "heartbeat",
     "is_enabled",
     "scoped",

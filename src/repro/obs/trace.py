@@ -321,11 +321,6 @@ class Tracer:
 _TRACER = Tracer()
 
 
-def get_tracer() -> Tracer:
-    """The process-global tracer."""
-    return _TRACER
-
-
 def is_enabled() -> bool:
     """Whether tracing is currently on."""
     return _TRACER.enabled

@@ -5,21 +5,20 @@ needs: typed columns (numeric float64 with NaN for missing,
 categorical dictionary-encoded as int32 codes over an interned string
 pool with -1 for missing), boolean masking, row sampling, train/test
 splitting and CSV round-trips. Strings materialise only at explicit
-boundaries (``Table.column``, row iteration, CSV IO); everything else
-runs on the codes.
+boundaries (``Table.column``, CSV IO); everything else runs on the
+codes.
 """
 
 from repro.tabular.encoding import (
     CategoricalColumn,
     aligned_codes,
-    concat_categorical,
     encode_values,
     union_pool,
 )
 from repro.tabular.schema import ColumnKind, ColumnSpec, Schema
 from repro.tabular.table import Table
 from repro.tabular.io import read_csv, write_csv
-from repro.tabular.ops import concat_rows, train_test_split_table
+from repro.tabular.ops import train_test_split_table
 
 __all__ = [
     "CategoricalColumn",
@@ -28,11 +27,9 @@ __all__ = [
     "Schema",
     "Table",
     "aligned_codes",
-    "concat_categorical",
     "encode_values",
     "read_csv",
     "union_pool",
     "write_csv",
-    "concat_rows",
     "train_test_split_table",
 ]

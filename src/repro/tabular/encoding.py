@@ -43,7 +43,6 @@ __all__ = [
     "encode_values",
     "aligned_codes",
     "union_pool",
-    "concat_categorical",
 ]
 
 _CODE_DTYPE = np.int32
@@ -293,24 +292,3 @@ def aligned_codes(
         return a.codes, b.codes
     pool = union_pool((a.pool, b.pool))
     return a.recode(pool).codes, b.recode(pool).codes
-
-
-def concat_categorical(
-    columns: Sequence[CategoricalColumn],
-) -> CategoricalColumn:
-    """Row-wise concatenation over the union pool."""
-    if not columns:
-        raise ValueError("need at least one column to concatenate")
-    first_pool = columns[0].pool
-    if all(column.pool == first_pool for column in columns):
-        return CategoricalColumn(
-            np.concatenate([column.codes for column in columns]),
-            first_pool,
-            validate=False,
-        )
-    pool = union_pool([column.pool for column in columns])
-    return CategoricalColumn(
-        np.concatenate([column.recode(pool).codes for column in columns]),
-        pool,
-        validate=False,
-    )

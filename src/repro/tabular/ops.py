@@ -1,38 +1,10 @@
-"""Cross-table operations: concatenation and splitting."""
+"""Table splitting."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.tabular.encoding import CategoricalColumn, concat_categorical
-from repro.tabular.schema import ColumnKind
 from repro.tabular.table import Table
-
-
-def concat_rows(tables: list[Table]) -> Table:
-    """Concatenate tables with identical schemas row-wise.
-
-    Numeric columns concatenate directly; categorical columns
-    concatenate on their codes over the union pool — no string
-    materialisation.
-    """
-    if not tables:
-        raise ValueError("need at least one table to concatenate")
-    schema = tables[0].schema
-    for table in tables[1:]:
-        if table.schema != schema:
-            raise ValueError("cannot concatenate tables with differing schemas")
-    columns: dict[str, np.ndarray | CategoricalColumn] = {}
-    for name in schema.names:
-        if schema.kind_of(name) is ColumnKind.NUMERIC:
-            columns[name] = np.concatenate(
-                [table._column_view(name) for table in tables]
-            )
-        else:
-            columns[name] = concat_categorical(
-                [table.categorical(name) for table in tables]
-            )
-    return Table.from_trusted_columns(schema, columns)
 
 
 def train_test_split_table(

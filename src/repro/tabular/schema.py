@@ -108,7 +108,3 @@ class Schema:
         if missing:
             raise KeyError(f"cannot drop unknown columns: {sorted(missing)}")
         return Schema(tuple(spec for spec in self.columns if spec.name not in drop))
-
-    def select(self, names: tuple[str, ...] | list[str]) -> "Schema":
-        """Return a schema with only the given columns, in the given order."""
-        return Schema(tuple(self[name] for name in names))

@@ -9,13 +9,12 @@ mutation helpers always copy.
 
 Row selection, missingness, equality and statistics all operate on
 the codes; Python string objects are materialised only at the
-explicit boundaries: :meth:`Table.column`, :meth:`Table.row` /
-:meth:`Table.iter_rows`, and CSV IO.
+explicit boundaries: :meth:`Table.column` and CSV IO.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -182,11 +181,6 @@ class Table:
         return self._n_rows
 
     @property
-    def n_columns(self) -> int:
-        """Number of columns."""
-        return len(self._schema)
-
-    @property
     def column_names(self) -> tuple[str, ...]:
         """Column names in schema order."""
         return self._schema.names
@@ -200,7 +194,7 @@ class Table:
         Numeric columns come back as a float64 copy; categorical
         columns decode into a fresh object array of ``str | None``.
         This is the string-materialisation boundary — hot paths should
-        use :meth:`categorical` / :meth:`codes` instead.
+        use :meth:`categorical` instead.
         """
         stored = self._stored(name)
         if isinstance(stored, CategoricalColumn):
@@ -220,7 +214,7 @@ class Table:
         stored = self._stored(name)
         if isinstance(stored, CategoricalColumn):
             raise TypeError(
-                f"column {name!r} is categorical; use categorical()/codes()"
+                f"column {name!r} is categorical; use categorical()"
             )
         return stored
 
@@ -231,36 +225,9 @@ class Table:
             raise TypeError(f"column {name!r} is numeric, not categorical")
         return stored
 
-    def codes(self, name: str) -> np.ndarray:
-        """Copy of the named categorical column's int32 codes."""
-        return self.categorical(name).codes.copy()
-
-    def pool(self, name: str) -> tuple[str, ...]:
-        """The named categorical column's string pool."""
-        return self.categorical(name).pool
-
     def kind_of(self, name: str) -> ColumnKind:
         """Return the kind of the named column."""
         return self._schema.kind_of(name)
-
-    def row(self, index: int) -> dict[str, Any]:
-        """Return row ``index`` as a dict (numeric NaN / categorical None preserved)."""
-        if not -self._n_rows <= index < self._n_rows:
-            raise IndexError(f"row {index} out of range for {self._n_rows} rows")
-        row: dict[str, Any] = {}
-        for name in self.column_names:
-            stored = self._columns[name]
-            if isinstance(stored, CategoricalColumn):
-                code = int(stored.codes[index])
-                row[name] = stored.pool[code] if code >= 0 else None
-            else:
-                row[name] = stored[index]
-        return row
-
-    def iter_rows(self) -> Iterable[dict[str, Any]]:
-        """Iterate over rows as dicts."""
-        for i in range(self._n_rows):
-            yield self.row(i)
 
     # -- missingness ---------------------------------------------------
 
@@ -283,15 +250,6 @@ class Table:
         return {name: int(self.is_missing(name).sum()) for name in self.column_names}
 
     # -- selection & transformation -------------------------------------
-
-    def select_columns(self, names: Sequence[str]) -> "Table":
-        """Return a table with only the given columns, in the given order."""
-        schema = self._schema.select(tuple(names))
-        return Table._from_parts(
-            schema,
-            {name: self._copied(name) for name in schema.names},
-            self._n_rows,
-        )
 
     def drop_columns(self, names: Sequence[str]) -> "Table":
         """Return a table without the given columns."""
@@ -335,10 +293,6 @@ class Table:
                 else stored[indices]
             )
         return Table._from_parts(self._schema, columns, indices.shape[0])
-
-    def head(self, n: int = 5) -> "Table":
-        """Return the first ``n`` rows."""
-        return self.take_rows(np.arange(min(n, self._n_rows)))
 
     def with_column(self, name: str, values: Any, kind: ColumnKind) -> "Table":
         """Return a table with the named column replaced or appended."""
@@ -385,26 +339,6 @@ class Table:
     def shuffled(self, rng: np.random.Generator) -> "Table":
         """Return a row-shuffled copy."""
         return self.take_rows(rng.permutation(self._n_rows))
-
-    # -- categorical helpers --------------------------------------------
-
-    def distinct(self, name: str) -> list[str]:
-        """Sorted distinct non-missing values of a categorical column."""
-        stored = self._stored(name)
-        if isinstance(stored, CategoricalColumn):
-            return stored.present_values()
-        finite = stored[~np.isnan(stored)]
-        return sorted({str(value) for value in finite})
-
-    def value_counts(self, name: str) -> dict[str, int]:
-        """Counts of non-missing values of a categorical column."""
-        column = self.categorical(name)
-        counts = column.counts()
-        present = [
-            (column.pool[int(i)], int(counts[i]))
-            for i in np.nonzero(counts)[0]
-        ]
-        return dict(sorted(present, key=lambda kv: (-kv[1], kv[0])))
 
     # -- dunder / display ------------------------------------------------
 

@@ -45,21 +45,6 @@ class ValuationResult:
         """Contribution to the privileged-vs-disadvantaged utility gap."""
         return self.privileged_values - self.disadvantaged_values
 
-    def disparity_ranking(self) -> np.ndarray:
-        """Training indices, most disparity-increasing first."""
-        return np.argsort(-self.disparity_values, kind="mergesort")
-
-    def harmful_for_fairness(self, quantile: float = 0.95) -> np.ndarray:
-        """Boolean mask of tuples above the disparity-value quantile."""
-        if not 0.0 < quantile < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {quantile}")
-        threshold = np.quantile(self.disparity_values, quantile)
-        return self.disparity_values > threshold
-
-    def harmful_for_accuracy(self) -> np.ndarray:
-        """Boolean mask of tuples with negative accuracy value."""
-        return self.accuracy_values < 0.0
-
     def widening_gap(
         self, current_disparity: float, quantile: float = 0.95
     ) -> np.ndarray:

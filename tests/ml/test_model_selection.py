@@ -6,36 +6,11 @@ import pytest
 from repro.ml import (
     BaseClassifier,
     GridSearchCV,
-    KFold,
     KNearestNeighborsClassifier,
     LogisticRegressionClassifier,
     StratifiedKFold,
     cross_val_predict_proba,
-    train_test_split,
 )
-
-
-def test_kfold_covers_all_indices_exactly_once():
-    seen = []
-    for __, test in KFold(n_splits=4, random_state=0).split(20):
-        seen.extend(test.tolist())
-    assert sorted(seen) == list(range(20))
-
-
-def test_kfold_train_test_disjoint():
-    for train, test in KFold(n_splits=3, random_state=1).split(15):
-        assert not set(train) & set(test)
-        assert len(train) + len(test) == 15
-
-
-def test_kfold_too_few_samples():
-    with pytest.raises(ValueError):
-        list(KFold(n_splits=5).split(3))
-
-
-def test_kfold_invalid_n_splits():
-    with pytest.raises(ValueError):
-        KFold(n_splits=1)
 
 
 def test_stratified_kfold_preserves_ratio():
@@ -57,32 +32,6 @@ def test_stratified_kfold_partition():
     for __, test in StratifiedKFold(n_splits=2, random_state=3).split(y):
         seen.extend(test.tolist())
     assert sorted(seen) == list(range(20))
-
-
-def test_train_test_split_shapes():
-    X = np.arange(40).reshape(20, 2)
-    y = np.arange(20) % 2
-    X_train, X_test, y_train, y_test = train_test_split(
-        X, y, 0.25, np.random.default_rng(0)
-    )
-    assert X_train.shape == (15, 2)
-    assert X_test.shape == (5, 2)
-    assert len(y_train) == 15 and len(y_test) == 5
-
-
-def test_train_test_split_keeps_pairs_aligned():
-    X = np.arange(20).reshape(20, 1)
-    y = np.arange(20)
-    X_train, X_test, y_train, y_test = train_test_split(
-        X, y, 0.3, np.random.default_rng(7)
-    )
-    assert np.array_equal(X_train[:, 0], y_train)
-    assert np.array_equal(X_test[:, 0], y_test)
-
-
-def test_train_test_split_length_mismatch():
-    with pytest.raises(ValueError):
-        train_test_split(np.zeros((3, 1)), np.zeros(4), 0.5, np.random.default_rng(0))
 
 
 def make_blobs(n=120, seed=0):

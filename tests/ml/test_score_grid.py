@@ -14,9 +14,7 @@ import pytest
 
 import repro.ml.knn as knn_module
 from repro.benchmark.models import MODEL_NAMES, model_search
-from repro.fairness.metrics import equal_opportunity
 from repro.ml import (
-    FairnessConstrainedSearch,
     GradientBoostedTreesClassifier,
     GridSearchCV,
     KNearestNeighborsClassifier,
@@ -244,31 +242,6 @@ def test_cv_results_carry_timing_hook_on_both_paths():
         for entry in search.cv_results_:
             assert entry["fit_seconds"] >= 0.0
             assert entry["score_seconds"] >= 0.0
-
-
-def test_fair_search_fast_path_identical():
-    X, y = make_data(n=210, seed=12)
-    rng = np.random.default_rng(12)
-    privileged = rng.random(len(y)) < 0.5
-    disadvantaged = ~privileged
-
-    def run(use_fast_path):
-        return FairnessConstrainedSearch(
-            KNearestNeighborsClassifier(),
-            {"n_neighbors": [1, 3, 5, 9]},
-            metric=equal_opportunity,
-            max_disparity=0.2,
-            n_splits=3,
-            random_state=2,
-            use_fast_path=use_fast_path,
-        ).fit(X, y, privileged, disadvantaged)
-
-    naive, fast = run(False), run(True)
-    assert naive.best_params_ == fast.best_params_
-    assert naive.best_accuracy_ == fast.best_accuracy_
-    assert naive.best_disparity_ == fast.best_disparity_
-    assert naive.constraint_satisfied_ == fast.constraint_satisfied_
-    assert naive.cv_results_ == fast.cv_results_
 
 
 def test_iter_grid_candidates_shared_between_searches():

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.tabular import (
     CategoricalColumn,
     aligned_codes,
-    concat_categorical,
     encode_values,
     union_pool,
 )
@@ -69,13 +68,6 @@ def test_pool_is_deterministic_under_duplication_and_order(universe, data):
     assert column_a.pool == column_b.pool
     assert column_a.pool == tuple(sorted(set(universe)))
     assert np.array_equal(column_a.codes, column_b.codes)
-
-
-@given(value_lists, value_lists)
-@settings(max_examples=100)
-def test_concat_matches_object_concatenation(left, right):
-    column = concat_categorical([encode_values(left), encode_values(right)])
-    assert list(column.decode()) == left + right
 
 
 @given(value_lists)

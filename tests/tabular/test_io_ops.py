@@ -7,7 +7,6 @@ from repro.tabular import (
     ColumnSpec,
     Schema,
     Table,
-    concat_rows,
     read_csv,
     train_test_split_table,
     write_csv,
@@ -61,23 +60,6 @@ def test_read_csv_empty_file_raises(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_csv(path, Schema.of(ColumnSpec.numeric("age")))
-
-
-def test_concat_rows():
-    table = make_table()
-    combined = concat_rows([table, table])
-    assert len(combined) == 6
-    assert combined.column("sex")[3] == "male"
-
-
-def test_concat_rows_schema_mismatch():
-    with pytest.raises(ValueError, match="differing schemas"):
-        concat_rows([make_table(), make_table().drop_columns(["sex"])])
-
-
-def test_concat_rows_empty_list():
-    with pytest.raises(ValueError):
-        concat_rows([])
 
 
 def test_train_test_split_partitions_rows():

@@ -56,11 +56,6 @@ def test_without_unknown_column_raises():
         make_schema().without(["ghost"])
 
 
-def test_select_reorders():
-    schema = make_schema().select(["income", "age"])
-    assert schema.names == ("income", "age")
-
-
 def test_len():
     assert len(make_schema()) == 3
 

@@ -25,18 +25,8 @@ def test_from_columns_infers_kinds():
 def test_row_and_len():
     table = make_table()
     assert len(table) == 4
-    row = table.row(1)
-    assert row["age"] == 40.0
-    assert row["sex"] == "female"
-
-
-def test_negative_row_index():
-    assert make_table().row(-1)["age"] == 61.0
-
-
-def test_row_out_of_range():
-    with pytest.raises(IndexError):
-        make_table().row(4)
+    assert table.column("age")[1] == 40.0
+    assert table.column("sex")[1] == "female"
 
 
 def test_ragged_columns_rejected():
@@ -72,11 +62,6 @@ def test_missing_counts():
     assert make_table().missing_counts() == {"age": 1, "sex": 1, "income": 1}
 
 
-def test_select_columns_orders():
-    table = make_table().select_columns(["income", "sex"])
-    assert table.column_names == ("income", "sex")
-
-
 def test_drop_columns():
     table = make_table().drop_columns(["sex"])
     assert table.column_names == ("age", "income")
@@ -103,11 +88,6 @@ def test_take_rows_allows_repeats():
     table = make_table().take_rows(np.array([0, 0, 1]))
     assert len(table) == 3
     assert table.column("age")[1] == 25.0
-
-
-def test_head():
-    assert len(make_table().head(2)) == 2
-    assert len(make_table().head(10)) == 4
 
 
 def test_with_numeric_column_replaces():
@@ -176,17 +156,12 @@ def test_shuffled_preserves_multiset():
 
 
 def test_distinct_categorical_excludes_missing():
-    assert make_table().distinct("sex") == ["female", "male"]
-
-
-def test_value_counts_sorted_by_frequency():
-    counts = make_table().value_counts("sex")
-    assert counts == {"female": 2, "male": 1}
+    assert make_table().categorical("sex").present_values() == ["female", "male"]
 
 
 def test_categorical_coerces_to_str():
     table = Table.from_columns({"code": ["1", "2", "1"]})
-    assert table.distinct("code") == ["1", "2"]
+    assert table.categorical("code").present_values() == ["1", "2"]
 
 
 def test_empty_table():
@@ -194,12 +169,6 @@ def test_empty_table():
     table = Table.empty(schema)
     assert len(table) == 0
     assert table.missing_counts() == {"x": 0, "y": 0}
-
-
-def test_iter_rows():
-    rows = list(make_table().iter_rows())
-    assert len(rows) == 4
-    assert rows[0]["sex"] == "male"
 
 
 def test_repr_mentions_row_count():

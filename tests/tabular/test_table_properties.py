@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tabular import Table, concat_rows, train_test_split_table
+from repro.tabular import Table, train_test_split_table
 
 _numeric_values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=32),
@@ -36,12 +36,6 @@ def test_missing_mask_matches_columnwise_union(table):
 def test_mask_rows_count(table):
     mask = table.missing_mask()
     assert len(table.mask_rows(mask)) + len(table.mask_rows(~mask)) == len(table)
-
-
-@given(tables())
-def test_concat_with_empty_suffix_is_identity(table):
-    combined = concat_rows([table, table.mask_rows(np.zeros(len(table), dtype=bool))])
-    assert combined == table
 
 
 @given(tables(min_rows=1), st.integers(min_value=0, max_value=2**32 - 1))

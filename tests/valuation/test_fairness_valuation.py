@@ -63,35 +63,6 @@ def test_disparity_values_positive_for_privileged_helpers():
     assert result.disparity_values[~priv_rows].mean() < 0
 
 
-def test_disparity_ranking_puts_privileged_helpers_first():
-    X_train, y_train, region, X_test, y_test, privileged = make_grouped_data()
-    result = FairnessShapleyValuator(k=5).value(
-        X_train, y_train, X_test, y_test, privileged, ~privileged
-    )
-    top = result.disparity_ranking()[:10]
-    assert (region[top] == "priv").mean() > 0.8
-
-
-def test_harmful_for_fairness_mask_size():
-    X_train, y_train, __, X_test, y_test, privileged = make_grouped_data()
-    result = FairnessShapleyValuator(k=5).value(
-        X_train, y_train, X_test, y_test, privileged, ~privileged
-    )
-    harmful = result.harmful_for_fairness(quantile=0.9)
-    assert 0 < harmful.sum() <= 0.15 * len(y_train)
-
-
-def test_harmful_for_accuracy_flags_mislabeled():
-    X_train, y_train, __, X_test, y_test, privileged = make_grouped_data()
-    noisy = y_train.copy()
-    noisy[:5] = 1 - noisy[:5]
-    result = FairnessShapleyValuator(k=5).value(
-        X_train, noisy, X_test, y_test, privileged, ~privileged
-    )
-    harmful = result.harmful_for_accuracy()
-    assert harmful[:5].mean() > 0.5
-
-
 def test_widening_gap_orientation():
     X_train, y_train, region, X_test, y_test, privileged = make_grouped_data()
     result = FairnessShapleyValuator(k=5).value(
@@ -154,7 +125,7 @@ def test_invalid_quantile():
         X_train, y_train, X_test, y_test, privileged, ~privileged
     )
     with pytest.raises(ValueError):
-        result.harmful_for_fairness(quantile=1.0)
+        result.widening_gap(current_disparity=0.1, quantile=1.0)
 
 
 def test_invalid_k():
