@@ -93,11 +93,6 @@ class StudyConfig:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
-    @property
-    def runs_per_configuration(self) -> int:
-        """Models trained and evaluated per configuration."""
-        return self.n_repetitions * self.n_tuning_seeds
-
     def dataset_size(self, name: str) -> int:
         """Rows to generate for the named dataset."""
         return self.dataset_sizes.get(name, 5_000)

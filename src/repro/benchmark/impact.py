@@ -55,13 +55,6 @@ def _metric_value(
     return metric(privileged, disadvantaged)
 
 
-def fairness_value(
-    record: RunRecord, technique: str, group_key: str, metric: FairnessMetric
-) -> float:
-    """Evaluate a fairness metric from a record's stored counts."""
-    return _metric_value(*_group_confusions(record, technique, group_key), metric)
-
-
 def _mean_magnitude(values: np.ndarray) -> float:
     """Mean |value| over the defined entries (NaN when none is)."""
     if np.isnan(values).all():

@@ -19,9 +19,11 @@ Three pieces cooperate:
 - :func:`run_parallel_study` is the only study driver. It ships units
   to a ``multiprocessing`` pool (stdlib only; the fork start method
   where available — it is cheap and does not re-import the parent —
-  with a spawn fallback elsewhere) or runs them one by one in-process
-  (the ``serial`` backend, ``workers == 1``, or a single pending
-  unit). Process-pool workers receive datasets over the
+  with a spawn fallback elsewhere), one task per ``(dataset,
+  repetition)`` when there are enough of them to fill the pool
+  (:func:`partition_units`), or runs them one by one in-process (the
+  ``serial`` backend, ``workers == 1``, or a single pending unit).
+  Process-pool workers receive datasets over the
   :attr:`ExecutorOptions.transport` — zero-copy shared-memory refs
   (:mod:`repro.benchmark.transport`) where available, pickled tables
   otherwise — and every worker appends each completed record to its
@@ -67,6 +69,7 @@ import time
 import zlib
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from multiprocessing import get_context
 from typing import Any, Callable, Iterable, Sequence
 
@@ -199,6 +202,8 @@ def plan_work_units(
     error-type units of one repetition are adjacent: a process running
     them in turn keeps that repetition's tuned-model results (see
     :func:`repro.ml.incremental.repetition_results`) for all of them.
+    An in-process run walks them in this order; a process pool gets
+    them grouped by :func:`partition_units`, which keeps it.
     """
     error_types = tuple(error_types) if error_types is not None else ERROR_TYPES
     for error_type in error_types:
@@ -661,9 +666,11 @@ def _run_unit_traced(task: _Task) -> list[dict[str, Any]]:
     return [record.to_json() for record in shard.added]
 
 
-def _execute_unit(
-    task: _Task,
-) -> tuple[WorkUnit, list[dict[str, Any]], str | None]:
+#: A unit's outcome: (unit, record payloads, error or None).
+_Outcome = tuple[WorkUnit, list[dict[str, Any]], "str | None"]
+
+
+def _execute_unit(task: _Task) -> _Outcome:
     """Worker entry point: run one unit, journal and return its records.
 
     Never raises: any failure — a genuine exception, a cell timeout or
@@ -678,6 +685,35 @@ def _execute_unit(
         return unit, _run_unit(task), None
     except Exception as error:  # noqa: BLE001 — the parent decides
         return unit, [], f"{type(error).__name__}: {error}"
+
+
+def _execute_units(tasks: Sequence[_Task]) -> list[_Outcome]:
+    """Worker entry point for one pool task: run its units in turn.
+
+    Returns one :func:`_execute_unit` outcome per unit, so a failing
+    unit neither stops its siblings nor hides their records.
+    """
+    return [_execute_unit(task) for task in tasks]
+
+
+def partition_units(
+    units: Sequence[WorkUnit], processes: int
+) -> list[tuple[WorkUnit, ...]]:
+    """Split units into pool tasks, keeping plan order.
+
+    One task per ``(dataset, repetition)`` when there are at least as
+    many such groups as ``processes``: a repetition's error-type units
+    then run on one worker and share its tuned-model results (see
+    :func:`repro.ml.incremental.repetition_results`). With fewer groups
+    than processes, each unit is its own task, so the pool still
+    spreads them over every process.
+    """
+    groups: dict[tuple[str, int], list[WorkUnit]] = {}
+    for unit in units:
+        groups.setdefault((unit.dataset, unit.repetition), []).append(unit)
+    if len(groups) < processes:
+        return [(unit,) for unit in units]
+    return [tuple(group) for group in groups.values()]
 
 
 def _unit_coords(unit: WorkUnit) -> tuple[str, str, int]:
@@ -730,12 +766,22 @@ def run_parallel_study(
     Plans pending work units against ``store`` (so completed runs —
     including records recovered from journal shards of a killed run —
     are never recomputed), executes them on a ``multiprocessing``
-    pool of ``workers`` processes (in-process when ``workers`` is 1,
-    the backend is ``serial`` or only one unit is pending), merges the
-    results into ``store`` and, when ``save`` is true and the store
-    has a backing path, compacts everything into its JSON file.
-    Returns the number of new records added (including records
+    pool of up to ``workers`` processes (in-process when ``workers``
+    is 1, the backend is ``serial`` or only one unit is pending),
+    merges the results into ``store`` and, when ``save`` is true and
+    the store has a backing path, compacts everything into its JSON
+    file. Returns the number of new records added (including records
     recovered from the journal shards of failed attempts).
+
+    A pool task is one ``(dataset, repetition)``'s units when there
+    are at least as many such groups as processes, else a single unit
+    (:func:`partition_units`); the pool has no more processes than
+    tasks. A grouped task runs its error-type units in turn on one
+    worker, which tunes their shared dirty models once, as an
+    in-process run does. Each unit still reports its own outcome, so
+    merging, journal recovery, retries, poisoning, shm leases and
+    ``abort_after_units`` count units, and a retry round partitions
+    only the units that failed.
 
     Units run with every loaded OpenBLAS capped at one thread: pool
     workers through their initializer, in-process units for the
@@ -796,6 +842,9 @@ def run_parallel_study(
     if transport == "auto":
         transport = "shm" if shared_memory_available() else "pickle"
     registry = ShmRegistry() if transport == "shm" else None
+    processes = (
+        1 if in_process else min(workers, len(partition_units(units, workers)))
+    )
 
     def _dataset_key(unit: WorkUnit) -> tuple[str, int, int]:
         return (
@@ -924,25 +973,30 @@ def run_parallel_study(
             )
         return replanned
 
-    def run_rounds(execute: Callable[[list[_Task]], Iterable]) -> None:
+    def run_rounds(
+        execute: Callable[[list[list[_Task]]], Iterable[_Outcome]],
+    ) -> None:
         queue = list(units)
         while queue:
-            tasks: list[_Task] = [
-                (
-                    config,
-                    unit,
-                    journal_prefix,
-                    options,
-                    attempts.get(_unit_coords(unit), 0),
-                    dataset_payload(unit),
-                )
-                for unit in queue
+            tasks: list[list[_Task]] = [
+                [
+                    (
+                        config,
+                        unit,
+                        journal_prefix,
+                        options,
+                        attempts.get(_unit_coords(unit), 0),
+                        dataset_payload(unit),
+                    )
+                    for unit in group
+                ]
+                for group in partition_units(queue, processes)
             ]
             queue = []
             delays: list[float] = []
             for unit, payloads, error in execute(tasks):
                 if registry is not None:
-                    # one lease per dispatched task: a retried unit
+                    # one lease per dispatched unit: a retried unit
                     # leases afresh when its next round's task is built
                     registry.release(_dataset_key(unit))
                 if error is None:
@@ -985,18 +1039,23 @@ def run_parallel_study(
             if in_process:
                 caller_threads = _set_blas_threads(1)
                 try:
-                    run_rounds(lambda tasks: map(_execute_unit, tasks))
+                    run_rounds(
+                        lambda tasks: map(_execute_unit, chain.from_iterable(tasks))
+                    )
                 finally:
                     _set_blas_threads(caller_threads)
                     incremental.drop_repetition_results()
             else:
                 context = _pool_context()
                 with context.Pool(
-                    processes=min(workers, len(units)),
-                    initializer=_single_blas_thread,
+                    processes=processes, initializer=_single_blas_thread
                 ) as pool:
                     run_rounds(
-                        lambda tasks: pool.imap_unordered(_execute_unit, tasks)
+                        lambda tasks: (
+                            outcome
+                            for outcomes in pool.imap_unordered(_execute_units, tasks)
+                            for outcome in outcomes
+                        )
                     )
     finally:
         # every exit path — completion, StudyAborted, a genuine crash —

@@ -221,8 +221,3 @@ class GradientBoostedTreesClassifier(BaseClassifier):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         p = _sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - p, p])
-
-    @property
-    def n_fitted_trees(self) -> int:
-        """Number of trees in the fitted ensemble."""
-        return len(self._trees)

@@ -21,13 +21,7 @@ def test_paper_scale_matches_section_v():
     assert config.n_sample == 15_000
     assert config.n_repetitions == 20
     assert config.n_tuning_seeds == 5
-    assert config.runs_per_configuration == 100
     assert config.dataset_sizes["folk"] == 378_817
-
-
-def test_runs_per_configuration():
-    config = StudyConfig(n_repetitions=4, n_tuning_seeds=3)
-    assert config.runs_per_configuration == 12
 
 
 def test_dataset_size_fallback():

@@ -3,8 +3,6 @@
 import numpy as np
 
 from repro.benchmark import ImpactAnalysis, ResultStore, RunRecord
-from repro.benchmark.impact import fairness_value
-from repro.fairness.metrics import predictive_parity
 from repro.stats.impact import Impact
 
 
@@ -50,20 +48,6 @@ def build_store(n=10, improvement=True):
             )
         )
     return store
-
-
-def test_fairness_value_matches_manual_computation():
-    record = make_record(
-        0,
-        dirty_counts=((50, 10, 5, 40), (50, 2, 5, 10)),
-        clean_counts=((50, 10, 5, 40), (50, 10, 5, 40)),
-        dirty_acc=0.7,
-        clean_acc=0.7,
-    )
-    value = fairness_value(record, "dirty", "sex", predictive_parity)
-    priv_precision = 40 / 50
-    dis_precision = 10 / 12
-    assert value == priv_precision - dis_precision
 
 
 def test_group_keys_recovered_from_metrics():

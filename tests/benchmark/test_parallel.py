@@ -6,9 +6,11 @@ seeded from configuration coordinates rather than execution order.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
+from repro import obs
 from repro.benchmark import (
     ExecutorOptions,
     ResultStore,
@@ -27,7 +29,10 @@ from repro.benchmark.parallel import (
     _set_blas_threads,
     _single_blas_thread,
     expected_cell_keys,
+    partition_units,
 )
+from repro.ml import incremental
+from repro.testing import Fault, FaultPlan
 
 
 def tiny_config(**overrides) -> StudyConfig:
@@ -113,6 +118,41 @@ def test_plan_keeps_a_repetitions_error_types_adjacent():
         ("heart", 1, "outliers"),
         ("heart", 1, "mislabels"),
     ]
+
+
+def _unit(dataset, repetition, error_type):
+    return WorkUnit(
+        dataset=dataset,
+        error_type=error_type,
+        repetition=repetition,
+        cells=(("log_reg", 0),),
+    )
+
+
+PLANNED = [
+    _unit("german", 0, "missing_values"),
+    _unit("german", 0, "outliers"),
+    _unit("german", 0, "mislabels"),
+    _unit("german", 1, "missing_values"),
+    _unit("german", 1, "mislabels"),
+    _unit("heart", 0, "outliers"),
+]
+
+
+def test_partition_groups_a_repetitions_units_when_groups_fill_the_pool():
+    for processes in (1, 2, 3):
+        tasks = partition_units(PLANNED, processes)
+        assert tasks == [tuple(PLANNED[:3]), tuple(PLANNED[3:5]), (PLANNED[5],)]
+
+
+def test_partition_gives_each_unit_a_task_when_groups_are_fewer():
+    assert partition_units(PLANNED, 4) == [(unit,) for unit in PLANNED]
+    one_repetition = PLANNED[:3]
+    assert partition_units(one_repetition, 2) == [
+        (unit,) for unit in one_repetition
+    ]
+    assert partition_units(one_repetition, 1) == [tuple(one_repetition)]
+    assert partition_units([], 2) == []
 
 
 def test_plan_respects_resume_store():
@@ -235,6 +275,85 @@ def test_parallel_matches_serial_missing_values(tmp_path):
     assert added == 6
     assert (tmp_path / "serial.json").read_bytes() == (
         tmp_path / "parallel.json"
+    ).read_bytes()
+
+
+# -- one pool task per (dataset, repetition) -----------------------------
+
+
+def _two_dataset_config():
+    return tiny_config(
+        n_repetitions=1, dataset_sizes={"german": 600, "heart": 600}
+    )
+
+
+def _reuse_hits(store):
+    hits = Counter()
+    for event in obs.read_trace_events([store.trace_path]):
+        if event.get("kind") == "metric" and event.get("name") == "reuse_hit":
+            hits[event["labels"]["kind"]] += event["value"]
+    return {kind: hits[kind] for kind in ("model_tune", "model_eval")}
+
+
+def test_pool_tasks_share_tuned_results_like_a_serial_run(tmp_path):
+    """Two datasets x one repetition on 2 workers: each worker runs one
+    repetition's error types in turn, so it reuses tuned results
+    exactly as often as the serial run does."""
+    config = _two_dataset_config()
+    hits = {}
+    for workers in (1, 2):
+        incremental.drop_repetition_results()
+        store = ResultStore(tmp_path / f"w{workers}.json")
+        run_parallel_study(
+            config,
+            store,
+            workers=workers,
+            datasets=("german", "heart"),
+            options=ExecutorOptions(trace=True),
+        )
+        hits[workers] = _reuse_hits(store)
+    assert hits[1]["model_tune"] > 0
+    assert hits[2] == hits[1]
+    assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w2.json").read_bytes()
+
+
+def test_crashed_unit_retries_alone_while_its_siblings_merge(tmp_path):
+    """A unit that crashes inside a grouped task does not take its
+    siblings down: they merge in the first round, only it retries."""
+    config = _two_dataset_config()
+    datasets = ("german", "heart")
+    serial = ResultStore(tmp_path / "serial.json")
+    run_parallel_study(config, serial, workers=1, datasets=datasets)
+
+    crash = Fault(
+        kind="crash_pre_append",
+        dataset="german",
+        error_type="outliers",
+        repetition=0,
+        at=2,
+    )
+    lines = []
+    store = ResultStore(tmp_path / "pooled.json")
+    run_parallel_study(
+        config,
+        store,
+        workers=2,
+        datasets=datasets,
+        progress=lines.append,
+        options=ExecutorOptions(backoff_base=0, fault_plan=FaultPlan((crash,))),
+    )
+    retried = [line.split(":")[0] for line in lines if ": retry" in line]
+    assert retried == ["german/outliers/rep0"]
+    merged = [line.split(":")[0] for line in lines if ": +" in line]
+    assert merged[-1] == "german/outliers/rep0"
+    assert sorted(merged[:-1]) == [
+        "german/mislabels/rep0",
+        "german/missing_values/rep0",
+        "heart/mislabels/rep0",
+        "heart/outliers/rep0",
+    ]
+    assert (tmp_path / "serial.json").read_bytes() == (
+        tmp_path / "pooled.json"
     ).read_bytes()
 
 

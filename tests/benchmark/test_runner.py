@@ -2,7 +2,6 @@
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from repro.benchmark import (
@@ -11,8 +10,6 @@ from repro.benchmark import (
     StudyConfig,
     run_parallel_study,
 )
-from repro.benchmark.impact import fairness_value
-from repro.fairness.metrics import equal_opportunity
 
 
 def run_german(config, store, error_types, **kwargs):
@@ -108,17 +105,6 @@ def test_mislabel_repair_name(german_store):
     record = next(german_store.records(error_type="mislabels"))
     assert record.repair == "flip_labels"
     assert record.detection == "cleanlab"
-
-
-def test_fairness_value_extraction(german_store):
-    record = next(german_store.records(error_type="missing_values"))
-    value = fairness_value(record, "dirty", "sex", equal_opportunity)
-    assert np.isnan(value) or -1.0 <= value <= 1.0
-
-
-def test_fairness_value_unknown_group_is_nan(german_store):
-    record = next(german_store.records(error_type="missing_values"))
-    assert np.isnan(fairness_value(record, "dirty", "ghost", equal_opportunity))
 
 
 def test_impact_analysis_configuration_counts(german_store):

@@ -54,14 +54,25 @@ def test_incremental_smoke_all_models(assert_cells_identical):
     )
 
 
-@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize(
+    ("backend", "n_repetitions"),
+    [
+        pytest.param("serial", 2, id="serial"),
+        # two (dataset, repetition) groups fill both workers: one pool
+        # task per repetition
+        pytest.param("process", 2, id="process"),
+        # one group for two workers: one pool task per unit
+        pytest.param("process", 1, id="process-per-unit"),
+    ],
+)
 def test_sibling_units_share_tuned_results_byte_identical(
-    assert_cells_identical, backend
+    assert_cells_identical, backend, n_repetitions
 ):
-    """Two repetitions of all three error types: the units of one
-    repetition reuse each other's tuned models, bytes unchanged."""
+    """All three error types: the units of one repetition reuse each
+    other's tuned models, bytes unchanged, under either partition of
+    the process pool's tasks."""
     assert_cells_identical(
-        chaos_config(models=("log_reg", "knn")),
+        chaos_config(models=("log_reg", "knn"), n_repetitions=n_repetitions),
         backend=backend,
         error_types=ERROR_TYPES,
     )

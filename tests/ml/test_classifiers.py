@@ -166,12 +166,6 @@ def test_gbt_invalid_params():
         GradientBoostedTreesClassifier(max_depth=0)
 
 
-def test_gbt_n_fitted_trees():
-    X, y = make_blobs(n=60)
-    model = GradientBoostedTreesClassifier(n_estimators=7).fit(X, y)
-    assert model.n_fitted_trees == 7
-
-
 def test_clone_produces_unfitted_copy_with_same_params():
     model = GradientBoostedTreesClassifier(n_estimators=9, max_depth=4)
     copy = clone(model)
