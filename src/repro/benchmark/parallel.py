@@ -31,7 +31,10 @@ Three pieces cooperate:
   exists, so a killed run loses at most the in-flight cells.
 - The parent merges worker results into the master store and calls
   :meth:`ResultStore.save`, which compacts journal shards into the
-  single ``{stem}.json``.
+  single ``{stem}.json``. Once a ``(dataset, error_type)`` group's last
+  planned unit has merged, the parent compresses the group's next
+  shard in memory (:meth:`ResultStore.stage_shard`), so on a pool that
+  work overlaps the tasks still running.
 
 The executor is additionally *crash-safe by construction* (the chaos
 suite under ``tests/chaos`` proves it by injecting faults through
@@ -67,6 +70,7 @@ import os
 import signal
 import time
 import zlib
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import chain
@@ -770,8 +774,11 @@ def run_parallel_study(
     is 1, the backend is ``serial`` or only one unit is pending),
     merges the results into ``store`` and, when ``save`` is true and
     the store has a backing path, compacts everything into its JSON
-    file. Returns the number of new records added (including records
-    recovered from the journal shards of failed attempts).
+    file. In that case each ``(dataset, error_type)`` group is
+    compressed as soon as its last planned unit has merged, and the
+    save writes those bytes. Returns the number of new records added
+    (including records recovered from the journal shards of failed
+    attempts).
 
     A pool task is one ``(dataset, repetition)``'s units when there
     are at least as many such groups as processes, else a single unit
@@ -877,6 +884,11 @@ def run_parallel_study(
 
     added = 0
     merged_units = 0
+    # units still to merge per (dataset, error_type) shard group: once a
+    # group's last one has merged, its next shard is compressed ahead of
+    # the save, while a pool's other tasks are still running
+    stage = save and store.path is not None
+    units_left = Counter((unit.dataset, unit.error_type) for unit in units)
     attempts: dict[tuple[str, str, int], int] = {}
     failures: list[dict[str, Any]] = []
 
@@ -1001,6 +1013,10 @@ def run_parallel_study(
                     registry.release(_dataset_key(unit))
                 if error is None:
                     merge(unit, payloads)
+                    group = (unit.dataset, unit.error_type)
+                    units_left[group] -= 1
+                    if stage and not units_left[group]:
+                        store.stage_shard(group)
                     continue
                 replanned = handle_failure(unit, error)
                 if replanned is not None:

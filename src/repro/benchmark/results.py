@@ -25,10 +25,19 @@ Persistence is **sharded and streaming** (format ``sharded-v1``):
   :meth:`ResultStore.save` writes *new* shard files for dirty groups,
   atomically swaps the manifest, and only then garbage-collects
   unreferenced shard files — a crash at any point leaves the previous
-  manifest and every shard it references intact. Compression uses a
-  fixed level and a zeroed gzip mtime, so identical records always
-  produce bit-identical shards (the parallel==serial byte-identity
-  guarantee extends to the on-disk store).
+  manifest and every shard it references intact. Compression uses
+  level 9, a zeroed gzip mtime and ``{file}.tmp`` in the gzip header's
+  FNAME field, all part of the byte contract, so identical records
+  always produce bit-identical shards (the parallel==serial
+  byte-identity guarantee extends to the on-disk store).
+- A save keeps a dirty group's compacted lines as they are, after
+  checking the old shard's body CRC and line count against its
+  manifest entry (a mismatch raises instead of rewriting the shard),
+  and encodes only the new records. It therefore costs O(new records)
+  of encoding plus one compression per dirty group. A run executor
+  compresses a group as soon as the group's last planned unit has
+  merged (:meth:`ResultStore.stage_shard`); the save writes those bytes
+  unless the group gained records since.
 - :meth:`ResultStore.iter_records` streams records in global key order
   holding at most one shard in memory; :meth:`records`,
   :meth:`distinct` and :meth:`verify` are built on the same lazy
@@ -58,12 +67,13 @@ shards, checksum mismatches, poisoned units) one shard at a time.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 #: Manifest format tag of the sharded store layout.
 STORE_FORMAT = "sharded-v1"
@@ -142,6 +152,34 @@ def record_checksum(payload: dict[str, Any]) -> str:
     body = {name: value for name, value in payload.items() if name != "checksum"}
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return f"{zlib.crc32(canonical.encode('utf-8')):08x}"
+
+
+def shard_line(record: RunRecord) -> bytes:
+    """A record's canonical shard line: its checksummed payload as
+    key-sorted, compact JSON, without the newline.
+
+    Decoding a shard line and encoding the record again gives the same
+    bytes, which is what lets :meth:`ResultStore.save` keep compacted
+    lines as they are instead of re-encoding them.
+    """
+    payload = record.to_json()
+    payload["checksum"] = record_checksum(payload)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def compress_shard(name: str, body: bytes) -> bytes:
+    """The gzip bytes of shard file ``name`` holding ``body``.
+
+    Level 9, a zeroed mtime and ``{name}.tmp`` in the header's FNAME
+    field -- the name of the temporary file shards were first written
+    through -- are all part of the pinned shard bytes.
+    """
+    buffer = io.BytesIO()
+    with gzip.GzipFile(
+        filename=f"{name}.tmp", fileobj=buffer, mode="wb", mtime=0, compresslevel=9
+    ) as compressed:
+        compressed.write(body)
+    return buffer.getvalue()
 
 
 def shard_group_of_key(key: str) -> tuple[str, str]:
@@ -234,6 +272,19 @@ class ShardInfo:
             crc=payload["crc"],
             keys=tuple(payload["keys"]),
         )
+
+
+class _StagedShard(NamedTuple):
+    """A group's next shard, compressed ahead of :meth:`ResultStore.save`.
+
+    Still valid while the group's pending keys are ``keys``: only a
+    save changes a group's manifest entry, and it drops every staged
+    shard.
+    """
+
+    keys: frozenset[str]
+    info: ShardInfo
+    data: bytes
 
 
 def journal_files(store_path: str | Path) -> list[Path]:
@@ -372,6 +423,8 @@ class ResultStore:
         self._shard_keys: set[str] = set()
         #: Single-entry shard cache: (group, {key: record}).
         self._cached_shard: tuple[tuple[str, str], dict[str, RunRecord]] | None = None
+        #: Shards compressed ahead of the next save (:meth:`stage_shard`).
+        self._staged: dict[tuple[str, str], _StagedShard] = {}
         #: True when loaded from a seed-era monolithic JSON file.
         self._legacy = False
         if self._path is not None:
@@ -645,18 +698,71 @@ class ResultStore:
 
     # -- compaction ------------------------------------------------------
 
-    def _shard_body(self, records: dict[str, RunRecord]) -> bytes:
-        """Canonical uncompressed shard body for a group's records."""
-        lines = []
-        for key in sorted(records):
-            payload = records[key].to_json()
-            payload["checksum"] = record_checksum(payload)
-            lines.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+    def _shard_lines(self, info: ShardInfo) -> list[bytes]:
+        """A compacted shard's lines, in the order of ``info.keys``.
 
-    def _write_shard(
-        self, group: tuple[str, str], records: dict[str, RunRecord]
-    ) -> tuple[ShardInfo, Path]:
+        Raises :class:`ValueError` naming the file when the body's CRC
+        or line count disagrees with the manifest entry: such a shard
+        cannot be merged without losing or inventing records.
+        """
+        try:
+            with self._shard_path(info).open("rb") as raw:
+                body = gzip.decompress(raw.read())
+        except (OSError, EOFError, zlib.error) as error:
+            raise ValueError(f"{info.file}: unreadable shard file ({error})") from error
+        lines = body.split(b"\n")
+        unterminated = lines.pop()
+        if f"{zlib.crc32(body):08x}" != info.crc:
+            problem = "body CRC mismatch"
+        elif unterminated or len(lines) != len(info.keys):
+            problem = f"{len(lines)} lines for {len(info.keys)} listed keys"
+        else:
+            return lines
+        raise ValueError(
+            f"{info.file}: shard disagrees with its manifest entry ({problem}); "
+            "nothing was saved"
+        )
+
+    def _compress_group(
+        self, group: tuple[str, str], pending: dict[str, RunRecord]
+    ) -> tuple[ShardInfo, bytes]:
+        """A group's next shard: its manifest entry and gzip bytes.
+
+        The compacted lines are kept as they are; only ``pending``
+        records are encoded.
+        """
+        lines: dict[str, bytes] = {}
+        base = self._shards.get(group)
+        if base is not None:
+            lines.update(zip(base.keys, self._shard_lines(base)))
+        for key, record in pending.items():
+            lines[key] = shard_line(record)
+        keys = tuple(sorted(lines))
+        body = b"\n".join(lines[key] for key in keys) + b"\n"
+        crc = f"{zlib.crc32(body):08x}"
+        dataset, error_type = group
+        name = f"{dataset}__{error_type}.{crc}.jsonl.gz"
+        info = ShardInfo(dataset, error_type, file=name, crc=crc, keys=keys)
+        return info, compress_shard(name, body)
+
+    def stage_shard(self, group: tuple[str, str]) -> None:
+        """Compress a group's next shard now, for the next :meth:`save`.
+
+        Run executors call this once the last planned unit of ``group``
+        has merged, so the compression overlaps work still running
+        elsewhere. Nothing touches disk: :meth:`save` writes the staged
+        bytes if the group's pending keys have not changed since, and
+        compresses the group again otherwise. Raises
+        :class:`ValueError` as :meth:`save` does for a shard that
+        disagrees with its manifest entry.
+        """
+        pending = self._pending_by_group().get(group)
+        if pending:
+            self._staged[group] = _StagedShard(
+                frozenset(pending), *self._compress_group(group, pending)
+            )
+
+    def _write_shard(self, info: ShardInfo, data: bytes) -> Path:
         """Write one content-addressed shard file atomically.
 
         The file name embeds the body CRC, so a shard is never
@@ -665,35 +771,20 @@ class ResultStore:
         file, and the old one stays valid until the manifest stops
         referencing it.
         """
-        assert self._path is not None and self.store_dir is not None
-        body = self._shard_body(records)
-        crc = f"{zlib.crc32(body):08x}"
-        dataset, error_type = group
-        name = f"{dataset}__{error_type}.{crc}.jsonl.gz"
-        path = self.store_dir / name
-        info = ShardInfo(
-            dataset=dataset,
-            error_type=error_type,
-            file=name,
-            crc=crc,
-            keys=tuple(sorted(records)),
-        )
+        assert self.store_dir is not None
+        path = self._shard_path(info)
         self.store_dir.mkdir(parents=True, exist_ok=True)
         tmp_path = path.with_name(path.name + ".tmp")
         try:
             with tmp_path.open("wb") as raw:
-                # fixed mtime + level: identical records => identical bytes
-                with gzip.GzipFile(
-                    fileobj=raw, mode="wb", mtime=0, compresslevel=9
-                ) as compressed:
-                    compressed.write(body)
+                raw.write(data)
                 raw.flush()
                 os.fsync(raw.fileno())
             tmp_path.replace(path)
         except BaseException:
             tmp_path.unlink(missing_ok=True)
             raise
-        return info, path
+        return path
 
     def _gc_store_dir(self) -> None:
         """Remove shard files no manifest entry references anymore."""
@@ -718,11 +809,16 @@ class ResultStore:
         crash at any point mid-compaction therefore leaves either the
         old or the new store intact, never a partial one, and never
         drops a journaled record. Groups without new records keep
-        their existing shard files untouched, but a group with even
-        one new record is re-read, merged and rewritten whole, so a
-        save costs O(records in the touched ``(dataset, error_type)``
-        groups), not O(new records). A study pass that adds a
-        repetition touches every group it runs.
+        their existing shard files untouched. A group with new records
+        gets a new shard: its compacted lines are kept byte for byte
+        and merged in key order with the encoded new records, so a
+        save costs O(new records) of encoding plus one compression per
+        dirty group -- none at all for a group staged by
+        :meth:`stage_shard` whose pending keys have not changed since.
+        A group whose old shard disagrees with its manifest entry
+        (body CRC or line count) raises :class:`ValueError` naming the
+        shard file, before the manifest is touched, instead of
+        rewriting it without the records it lost.
 
         A legacy monolithic store is migrated to the sharded layout by
         its first save (the manifest replaces the old file in the same
@@ -736,11 +832,14 @@ class ResultStore:
         new_paths: list[Path] = []
         try:
             for group in sorted(pending_groups):
-                merged = dict(self._shard_records(group))
-                merged.update(pending_groups[group])
-                info, path = self._write_shard(group, merged)
+                pending = pending_groups[group]
+                staged = self._staged.get(group)
+                if staged is not None and staged.keys == pending.keys():
+                    info, data = staged.info, staged.data
+                else:
+                    info, data = self._compress_group(group, pending)
+                new_paths.append(self._write_shard(info, data))
                 written[group] = info
-                new_paths.append(path)
             manifest_shards = {**self._shards, **written}
             payload = {
                 "format": STORE_FORMAT,
@@ -772,6 +871,7 @@ class ResultStore:
         self._shards = dict(manifest_shards)
         self._shard_keys.update(self._pending)
         self._pending.clear()
+        self._staged.clear()
         self._cached_shard = None
         self._legacy = False
         for shard in self.journal_paths():

@@ -22,6 +22,7 @@ from repro.benchmark import (
     run_parallel_study,
 )
 from repro.benchmark import parallel
+from repro.benchmark import results as results_module
 from repro.benchmark.parallel import (
     _OPENBLAS_THREAD_FUNCTIONS,
     _loaded_openblas,
@@ -33,6 +34,7 @@ from repro.benchmark.parallel import (
 )
 from repro.ml import incremental
 from repro.testing import Fault, FaultPlan
+from repro.testing.fixtures import store_fingerprint
 
 
 def tiny_config(**overrides) -> StudyConfig:
@@ -276,6 +278,51 @@ def test_parallel_matches_serial_missing_values(tmp_path):
     assert (tmp_path / "serial.json").read_bytes() == (
         tmp_path / "parallel.json"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_store_grown_a_repetition_per_run_matches_one_run(
+    tmp_path, monkeypatch, workers
+):
+    """A store grown by one run per repetition -- each save merging new
+    records into compacted shard lines -- has the bytes of a store built
+    by one run. Each run compresses each of its groups once, as the
+    group's last unit merges: by the time the run saves, all of them
+    are compressed."""
+    datasets = ("german",)
+    one = tmp_path / "one.json"
+    run_parallel_study(tiny_config(n_repetitions=3), ResultStore(one), datasets=datasets)
+
+    compressed = []
+    before_save = []
+    compress = results_module.compress_shard
+    save = ResultStore.save
+
+    def counted(name, body):
+        compressed.append(name.split(".")[0])
+        return compress(name, body)
+
+    def observed_save(store):
+        before_save.append(len(compressed))
+        save(store)
+
+    monkeypatch.setattr(results_module, "compress_shard", counted)
+    monkeypatch.setattr(ResultStore, "save", observed_save)
+    grown = tmp_path / "grown.json"
+    for n_repetitions in (1, 2, 3):
+        compressed.clear()
+        run_parallel_study(
+            tiny_config(n_repetitions=n_repetitions),
+            ResultStore(grown),
+            workers=workers,
+            datasets=datasets,
+        )
+        assert Counter(compressed) == {
+            f"german__{error_type}": 1
+            for error_type in ("missing_values", "outliers", "mislabels")
+        }
+    assert before_save == [3, 3, 3]
+    assert store_fingerprint(grown) == store_fingerprint(one)
 
 
 # -- one pool task per (dataset, repetition) -----------------------------

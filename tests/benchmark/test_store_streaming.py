@@ -1,11 +1,15 @@
 """Streaming and migration behaviour of the sharded result store."""
 
+import gzip
 import json
+import re
+from collections import Counter
 
 import pytest
 
 from repro.benchmark import ResultStore, RunRecord, write_legacy_store
 from repro.benchmark import results as results_module
+from repro.testing.fixtures import store_fingerprint
 
 
 def make_record(dataset="german", error_type="mislabels", repetition=0, repair="flip_labels"):
@@ -235,3 +239,98 @@ def test_verify_flags_shard_crc_mismatch(tmp_path):
     path.write_text(json.dumps(manifest))
     violations = ResultStore(path).verify()
     assert any("CRC mismatch" in v for v in violations)
+
+
+# -- compaction ------------------------------------------------------------
+
+
+def test_save_refuses_a_shard_that_disagrees_with_its_manifest(tmp_path):
+    """A shard rewritten behind the manifest's back (here: valid gzip
+    without rep 0's line) must not be merged into a fresh shard that
+    silently drops the record; the previous store keeps its bytes."""
+    path = tmp_path / "study.json"
+    store = ResultStore(path)
+    for repetition in range(3):
+        store.add(make_record(error_type="outliers", repetition=repetition))
+    store.save()
+    (shard,) = (tmp_path / "study.store").glob("*.jsonl.gz")
+    lines = gzip.decompress(shard.read_bytes()).splitlines(keepends=True)
+    shard.write_bytes(gzip.compress(b"".join(lines[1:])))
+    violations = ResultStore(path).verify()
+    assert any("CRC mismatch" in v for v in violations)
+    assert any("disagree with manifest" in v for v in violations)
+    before = store_fingerprint(path)
+
+    store = ResultStore(path)
+    store.add(make_record(error_type="outliers", repetition=3))
+    with pytest.raises(ValueError, match=re.escape(shard.name)):
+        store.save()
+    assert store_fingerprint(path) == before
+    assert list((tmp_path / "study.store").iterdir()) == [shard]
+
+
+def test_save_reuses_compacted_lines_without_decoding_them(tmp_path, monkeypatch):
+    """Only new records are encoded: the compacted ones stay lines."""
+    path = tmp_path / "study.json"
+    multi_shard_store(path, n_groups=2)
+    store = ResultStore(path)
+    for dataset in ("adult", "credit"):
+        store.add(make_record(dataset=dataset, repetition=7))
+    calls = Counter()
+    from_json = RunRecord.from_json
+    shard_records = ResultStore._shard_records
+
+    def counted_from_json(payload):
+        calls["from_json"] += 1
+        return from_json(payload)
+
+    def counted_shard_records(self, group):
+        calls["_shard_records"] += 1
+        return shard_records(self, group)
+
+    monkeypatch.setattr(RunRecord, "from_json", staticmethod(counted_from_json))
+    monkeypatch.setattr(ResultStore, "_shard_records", counted_shard_records)
+    store.save()
+    monkeypatch.undo()
+    assert calls == {}
+    reloaded = ResultStore(path)
+    assert len(reloaded) == 8
+    assert reloaded.verify() == []
+
+
+def test_staged_group_that_gains_a_record_is_compressed_again(tmp_path, monkeypatch):
+    """A record journaled after its group was staged (as a worker's
+    journal is replayed after a unit failure) is not lost: save sees
+    the changed key set and compresses that group once more. The bytes
+    equal those of one save of every record, the path the golden store
+    pins."""
+    path = tmp_path / "grown" / "study.json"
+    records = [
+        make_record(dataset=d, repetition=r) for d in ("adult", "german") for r in range(3)
+    ]
+    late = make_record(dataset="german", repetition=3)
+    store = ResultStore(path)
+    for record in records[:2] + records[3:5]:
+        store.add(record)
+    store.save()
+    store.add(records[2])
+    store.add(records[5])
+    compressed = []
+    compress = results_module.compress_shard
+
+    def counted(name, body):
+        compressed.append(name.split(".")[0])
+        return compress(name, body)
+
+    monkeypatch.setattr(results_module, "compress_shard", counted)
+    store.stage_shard(("adult", "mislabels"))
+    store.stage_shard(("german", "mislabels"))
+    with store.journal_writer(shard="w1") as journal:
+        journal.write(late)
+    store.save()
+    assert Counter(compressed) == {"adult__mislabels": 1, "german__mislabels": 2}
+    one = ResultStore(tmp_path / "one" / "study.json")
+    for record in records + [late]:
+        one.add(record)
+    one.save()
+    assert store_fingerprint(path) == store_fingerprint(one.path)

@@ -8,17 +8,20 @@ tie-breaks, or shard layout — even one that is internally consistent —
 fails loudly. Regenerate the fixture only for an *intentional* output
 change, by running the snippet in ``tests/identity/golden/``'s history:
 one ``chaos_config()`` german/mislabels slice saved via
-``ResultStore``. Every test here drives the study through
+``ResultStore``. Every test here that runs a study drives it through
 :func:`run_parallel_study` with one worker, the path ``repro study``
 takes by default.
 """
 
+import gzip
+import json
 from pathlib import Path
 
 import pytest
 
 from repro import obs
-from repro.benchmark import ExecutorOptions, ResultStore, run_parallel_study
+from repro.benchmark import ExecutorOptions, ResultStore, RunRecord, run_parallel_study
+from repro.benchmark.results import shard_line
 from repro.testing.fixtures import chaos_config, store_fingerprint
 
 GOLDEN = Path(__file__).parent / "golden" / "study.json"
@@ -33,6 +36,19 @@ def run_golden_slice(store, **options):
         error_types=("mislabels",),
         options=ExecutorOptions(**options),
     )
+
+
+def test_golden_shard_lines_are_canonical():
+    """Decoding a golden shard line and encoding the record again gives
+    the line back, checksum included: the property that lets a save
+    keep compacted lines as they are."""
+    shards = sorted((GOLDEN.parent / "study.store").glob("*.jsonl.gz"))
+    assert shards
+    for shard in shards:
+        lines = gzip.decompress(shard.read_bytes()).splitlines()
+        assert lines
+        for line in lines:
+            assert shard_line(RunRecord.from_json(json.loads(line))) == line
 
 
 def test_store_bytes_match_pre_encoding_golden(tmp_path):
