@@ -1,17 +1,17 @@
 """Grid-search kernel benchmarks: naive loop vs shared ``score_grid``.
 
-Times :class:`GridSearchCV` with the fast path off and on for each of
-the study's three model families, on grids wide enough to exercise the
+Times :class:`GridSearchCV` with the fast path off and on for the two
+model families that have one, on grids wide enough to exercise the
 sharing (one neighbour ranking for the whole ``n_neighbors`` grid, one
-boosting run for the whole ``n_estimators`` grid, one warm-started
-coefficient path for the ``C`` grid). Every timed pair is also checked
-for byte-identical selection, and an identity sweep over the study
-registry grids runs across ``REPRO_BENCH_WORKERS`` processes.
+warm-started coefficient path for the ``C`` grid). Every timed pair is
+also checked for byte-identical selection, and an identity sweep over
+all three study registry grids (the booster's runs the naive loop on
+both paths) runs across ``REPRO_BENCH_WORKERS`` processes.
 
 Speedups are appended to ``BENCH_models.json`` at the repo root for the
-perf trajectory. The kNN and booster grids are the acceptance bar
-(>= 2x); logistic's warm start is a smaller, solver-bound win and is
-recorded without a floor.
+perf trajectory. The kNN grid is the acceptance bar (>= 2x); logistic's
+warm start is a smaller, solver-bound win and is recorded without a
+floor.
 
 Run with ``pytest benchmarks/bench_model_selection.py``.
 """
@@ -28,7 +28,6 @@ import numpy as np
 from conftest import map_parallel
 from repro.benchmark.models import MODEL_NAMES, model_search
 from repro.ml import (
-    GradientBoostedTreesClassifier,
     GridSearchCV,
     KNearestNeighborsClassifier,
     LogisticRegressionClassifier,
@@ -36,9 +35,8 @@ from repro.ml import (
 
 ARTIFACT = Path(__file__).parent.parent / "BENCH_models.json"
 
-#: The timed tuning workloads. Grid widths mirror realistic sweeps —
-#: wider than the paper's study grids, which share too little for the
-#: booster (its ``max_depth`` grid has no common prefix to reuse).
+#: The timed tuning workloads. Grid widths mirror realistic sweeps,
+#: wider than the paper's study grids.
 BENCH_GRIDS = {
     "log_reg": (
         LogisticRegressionClassifier(),
@@ -48,14 +46,10 @@ BENCH_GRIDS = {
         KNearestNeighborsClassifier(),
         {"n_neighbors": [1, 3, 5, 9, 15, 21, 31]},
     ),
-    "xgboost": (
-        GradientBoostedTreesClassifier(max_depth=3),
-        {"n_estimators": [5, 10, 20, 30, 40]},
-    ),
 }
 
 #: Tuning speedup floor per model (None = record only).
-SPEEDUP_FLOOR = {"log_reg": None, "knn": 2.0, "xgboost": 2.0}
+SPEEDUP_FLOOR = {"log_reg": None, "knn": 2.0}
 
 N_ROWS = 2_400
 N_FEATURES = 12
@@ -129,7 +123,7 @@ def test_registry_identity_sweep():
 
 
 def test_grid_search_kernel_speedups():
-    """Naive vs fast tuning wall clock for all three model families."""
+    """Naive vs fast tuning wall clock for each family with a fast path."""
     X, y = _bench_data()
     summary = {}
     for name, (estimator, grid) in BENCH_GRIDS.items():

@@ -36,9 +36,10 @@ class StudyConfig:
             seeded from configuration coordinates, never from
             execution order).
         grid_fast_path: Let the inner grid search evaluate whole
-            hyperparameter grids through the estimators'
+            hyperparameter grids through the log_reg and kNN
             ``score_grid`` shared-computation kernels (one pass per
-            fold instead of one cold fit per candidate). Selected
+            fold instead of one cold fit per candidate; the booster
+            has none and always runs the naive loop). Selected
             hyperparameters and study records are byte-identical
             either way; ``False`` forces the naive loop.
         incremental: Reuse computation across the cleaned versions of

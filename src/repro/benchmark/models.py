@@ -30,10 +30,11 @@ def model_search(
         tuning_seed: Seed for fold assignment (the paper evaluates
             several tuning seeds per split).
         fast_path: Allow the search to use the estimator's
-            ``score_grid`` shared-computation kernel. Selection is
-            byte-identical either way; ``False`` forces the naive
-            clone-per-candidate loop (the reference for identity
-            tests and the naive-vs-fast benches).
+            ``score_grid`` shared-computation kernel (log_reg and knn
+            have one; the booster always runs the naive loop).
+            Selection is byte-identical either way; ``False`` forces
+            the naive clone-per-candidate loop (the reference for
+            identity tests and the naive-vs-fast benches).
     """
     if name == "log_reg":
         return GridSearchCV(
@@ -53,9 +54,7 @@ def model_search(
         )
     if name == "xgboost":
         return GridSearchCV(
-            GradientBoostedTreesClassifier(
-                n_estimators=20, learning_rate=0.2, random_state=tuning_seed
-            ),
+            GradientBoostedTreesClassifier(n_estimators=20, learning_rate=0.2),
             {"max_depth": [2, 4]},
             n_splits=n_cv_folds,
             random_state=tuning_seed,

@@ -430,7 +430,7 @@ class ResultStore:
         if self._path is not None:
             if self._path.exists():
                 self._load()
-            self._replay_journal()
+            self.replay_journal()
 
     @property
     def path(self) -> Path | None:
@@ -692,9 +692,6 @@ class ResultStore:
                         self._pending[record.key] = record
                         recovered += 1
         return recovered
-
-    # backwards-compatible alias (pre-hardening private name)
-    _replay_journal = replay_journal
 
     # -- compaction ------------------------------------------------------
 

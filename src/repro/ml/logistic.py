@@ -222,7 +222,7 @@ class LogisticRegressionClassifier(BaseClassifier):
         Candidates are solved from the most regularised ``C`` upward,
         each L-BFGS run starting from the previous solution, which
         typically converges in a fraction of the cold-start
-        iterations. Unlike the kNN and boosting fast paths this is not
+        iterations. Unlike the kNN fast path this is not
         identical by construction — warm and cold starts can stop at
         slightly different points within the optimiser tolerance — but
         predictions only differ if a test logit crosses zero inside

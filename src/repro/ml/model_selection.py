@@ -7,9 +7,9 @@ building block of confident learning).
 Grid search dispatches to an estimator's :meth:`~repro.ml.base.\
 BaseClassifier.score_grid` fast path when one is available: the whole
 candidate grid is then evaluated from one shared computation per fold
-(one distance matrix for every ``k`` of a kNN grid, one boosting run
-for every ``n_estimators`` budget, one warm-started solver path for a
-``C`` grid) instead of one cold fit per candidate. The fast path is
+(one distance matrix for every ``k`` of a kNN grid, one warm-started
+solver path for a ``C`` grid) instead of one cold fit per candidate.
+Estimators without one (the booster) run the naive loop. The fast path is
 required to reproduce the naive clone-per-candidate loop bit for bit
 — same predictions, same scores, same tie-breaking — so selected
 hyperparameters and downstream study records are identical either way.

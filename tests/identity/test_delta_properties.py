@@ -231,7 +231,7 @@ def test_boosting_scope_is_byte_identical(seed):
     X = rng.choice([-1.0, 0.0, 0.5, 2.0], size=(50, 3))
     y = (rng.random(50) > 0.5).astype(np.int64)
     X_test = rng.choice([-1.0, 0.25, 2.0], size=(15, 3))
-    params = dict(n_estimators=5, max_depth=2, random_state=0)
+    params = dict(n_estimators=5, max_depth=2)
     cold = (
         GradientBoostedTreesClassifier(**params).fit(X, y).predict_proba(X_test)
     )

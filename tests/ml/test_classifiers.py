@@ -7,7 +7,10 @@ from repro.ml import (
     GradientBoostedTreesClassifier,
     KNearestNeighborsClassifier,
     LogisticRegressionClassifier,
+    boosting,
     clone,
+    incremental,
+    tree,
 )
 from repro.ml.base import BaseEstimator
 from repro.ml.metrics import accuracy_score
@@ -146,22 +149,30 @@ def test_gbt_learns_xor_that_logreg_cannot():
     assert accuracy_score(y, logreg.predict(X)) < 0.7
 
 
-def test_gbt_subsample_is_deterministic_under_seed():
-    X, y = make_blobs(n=120)
-    a = GradientBoostedTreesClassifier(
-        n_estimators=10, subsample=0.7, random_state=9
-    ).fit(X, y)
-    b = GradientBoostedTreesClassifier(
-        n_estimators=10, subsample=0.7, random_state=9
-    ).fit(X, y)
-    assert np.array_equal(a.predict_proba(X), b.predict_proba(X))
+def test_gbt_presorts_once_per_fit_without_a_scope(monkeypatch):
+    """A cold fit computes the root presort once for all its rounds,
+    and predicts bit for bit what a fit under a reuse scope does."""
+    calls = []
+    presort_orders = tree.presort_orders
+
+    def counted(X):
+        calls.append(X.shape)
+        return presort_orders(X)
+
+    monkeypatch.setattr(tree, "presort_orders", counted)
+    monkeypatch.setattr(boosting, "presort_orders", counted)
+    X, y = make_blobs(n=150, separation=1.0, seed=7)
+    params = dict(n_estimators=20, max_depth=3)
+    cold = GradientBoostedTreesClassifier(**params).fit(X, y)
+    assert len(calls) == 1
+    with incremental.reuse_scope(incremental.ReuseScope()):
+        scoped = GradientBoostedTreesClassifier(**params).fit(X, y)
+    assert cold.predict_proba(X).tobytes() == scoped.predict_proba(X).tobytes()
 
 
 def test_gbt_invalid_params():
     with pytest.raises(ValueError):
         GradientBoostedTreesClassifier(n_estimators=0)
-    with pytest.raises(ValueError):
-        GradientBoostedTreesClassifier(subsample=0.0)
     with pytest.raises(ValueError):
         GradientBoostedTreesClassifier(max_depth=0)
 

@@ -5,8 +5,7 @@ loop bit for bit: same per-candidate predictions, same ``cv_results_``
 scores, same selected hyperparameters. These tests run both paths on
 every model of the study registry (the paper's grids) and on richer
 grids that actually exercise the sharing — including tie-heavy data
-for the kNN boundary-tie fallback and subsampled boosting for the
-RNG-prefix property.
+for the kNN boundary-tie fallback.
 """
 
 import numpy as np
@@ -150,32 +149,6 @@ def test_knn_caches_train_norms_at_fit_time():
     np.testing.assert_array_equal(first, second)
 
 
-def test_booster_staged_n_estimators_grid_identical():
-    X, y = make_data(seed=2)
-    naive, fast = fit_both_paths(
-        GradientBoostedTreesClassifier(max_depth=3, learning_rate=0.2),
-        {"n_estimators": [3, 6, 12]},
-        X,
-        y,
-    )
-    assert_searches_identical(naive, fast)
-
-
-def test_booster_subsampled_multi_param_grid_identical():
-    """Grouped staged evaluation with a live subsampling RNG: the
-    m-round prefix of a longer run must equal an m-round fit."""
-    X, y = make_data(seed=4)
-    naive, fast = fit_both_paths(
-        GradientBoostedTreesClassifier(
-            learning_rate=0.2, subsample=0.7, random_state=5
-        ),
-        {"n_estimators": [3, 7], "max_depth": [2, 3]},
-        X,
-        y,
-    )
-    assert_searches_identical(naive, fast)
-
-
 def test_logistic_warm_start_path_identical():
     X, y = make_data(seed=6)
     naive, fast = fit_both_paths(
@@ -214,10 +187,6 @@ def test_score_grid_declines_single_candidate_and_bad_values():
     ) is None
     log_reg = LogisticRegressionClassifier()
     assert log_reg.score_grid(X, y, X, y, [{"C": -1.0}, {"C": 1.0}]) is None
-    booster = GradientBoostedTreesClassifier()
-    assert booster.score_grid(
-        X, y, X, y, [{"n_estimators": 0}, {"n_estimators": 5}]
-    ) is None
 
 
 def test_split_single_parameter_grid_shapes():
