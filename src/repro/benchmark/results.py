@@ -665,13 +665,13 @@ class ResultStore:
         """Replay journal shards on top of the current records.
 
         Records whose key is already present are skipped (they were
-        compacted before the shard was removed, or merged in-memory);
-        undecodable lines — typically a partial trailing line from a
-        killed writer — and lines whose ``checksum`` does not match
-        their content are ignored. Returns the number of records
-        recovered. Safe to call repeatedly: parallel executors call it
-        after a worker failure to recover every record the dead worker
-        journaled before crashing.
+        compacted before the shard was removed, or merged in-memory)
+        before their checksum is computed; undecodable lines — typically
+        a partial trailing line from a killed writer — and lines whose
+        ``checksum`` does not match their content are ignored. Returns
+        the number of records recovered. Safe to call repeatedly:
+        parallel executors call it after a worker failure to recover
+        every record the dead worker journaled before crashing.
         """
         recovered = 0
         for shard in self.journal_paths():
@@ -685,12 +685,13 @@ class ResultStore:
                         record = RunRecord.from_json(payload)
                     except (ValueError, KeyError, TypeError):
                         continue
+                    if record.key in self:
+                        continue
                     checksum = payload.get("checksum")
                     if checksum is not None and checksum != record_checksum(payload):
                         continue
-                    if record.key not in self:
-                        self._pending[record.key] = record
-                        recovered += 1
+                    self._pending[record.key] = record
+                    recovered += 1
         return recovered
 
     # -- compaction ------------------------------------------------------

@@ -9,6 +9,7 @@ contamination 0.01.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,6 +160,12 @@ class IsolationForestOutlierDetector:
     values are never flagged (they cannot be scored). Cell masks flag
     every numeric cell of a flagged tuple, so cell-level repairs can be
     applied uniformly across detectors.
+
+    ``fit`` keeps the row flags of the table it was fitted on, taken
+    from the scores the forest computed for its threshold; ``apply`` on
+    that same table object returns them without scoring its rows again.
+    Any other table, even one with equal contents, is scored. Tables
+    are immutable by convention, so the flags cannot go stale.
     """
 
     name = "outliers_if"
@@ -174,11 +181,15 @@ class IsolationForestOutlierDetector:
         self.random_state = random_state
         self._forest: IsolationForest | None = None
         self._numeric_names: tuple[str, ...] = ()
+        self._fitted_table: weakref.ref[Table] | None = None
+        self._fitted_rows = np.zeros(0, dtype=bool)
 
     def fit(self, table: Table) -> "IsolationForestOutlierDetector":
         """Fit the forest on the table's complete numeric rows."""
         self._numeric_names = table.schema.numeric_names()
         self._forest = None
+        self._fitted_table = weakref.ref(table)
+        self._fitted_rows = np.zeros(table.n_rows, dtype=bool)
         if self._numeric_names and table.n_rows > 1:
             X = np.column_stack(
                 [table.column(name) for name in self._numeric_names]
@@ -190,24 +201,30 @@ class IsolationForestOutlierDetector:
                     contamination=self.contamination,
                     random_state=self.random_state,
                 ).fit(X[complete])
+                flags = self._forest.train_outliers_
+                self._fitted_rows[np.nonzero(complete)[0][flags]] = True
         return self
 
     def apply(self, table: Table) -> DetectionResult:
         """Flag tuples the fitted forest scores above its threshold.
 
         Rows with missing numeric values are never flagged (they
-        cannot be scored).
+        cannot be scored). The table the detector was fitted on is not
+        scored again: its flags come from the fit.
         """
         with obs.span("detect", detector=self.name, rows=table.n_rows) as span:
-            row_mask = np.zeros(table.n_rows, dtype=bool)
-            if self._forest is not None:
-                X = np.column_stack(
-                    [table.column(name) for name in self._numeric_names]
-                )
-                complete = ~np.isnan(X).any(axis=1)
-                if complete.any():
-                    flags = self._forest.predict_outliers(X[complete])
-                    row_mask[np.nonzero(complete)[0][flags]] = True
+            if self._fitted_table is not None and self._fitted_table() is table:
+                row_mask = self._fitted_rows.copy()
+            else:
+                row_mask = np.zeros(table.n_rows, dtype=bool)
+                if self._forest is not None:
+                    X = np.column_stack(
+                        [table.column(name) for name in self._numeric_names]
+                    )
+                    complete = ~np.isnan(X).any(axis=1)
+                    if complete.any():
+                        flags = self._forest.predict_outliers(X[complete])
+                        row_mask[np.nonzero(complete)[0][flags]] = True
             cell_masks = {}
             for name in self._numeric_names:
                 mask = row_mask.copy()

@@ -6,6 +6,9 @@ a point is ``2^(-E[h(x)] / c(n))`` where ``h`` is the path length to
 isolation and ``c(n)`` the average BST path length. Points whose score
 exceeds the ``contamination`` quantile are flagged — matching
 scikit-learn's contamination semantics used in the paper (0.01).
+``fit`` scores its training rows once, for that quantile, and keeps
+their flags in ``train_outliers_``, so flagging the training rows needs
+no second scoring pass.
 
 The whole forest lives in one packed struct-of-arrays node table. Trees
 are grown iteratively in preorder, drawing the RNG stream in the same
@@ -151,6 +154,9 @@ class IsolationForest(BaseEstimator):
         contamination: Expected fraction of outliers; sets the decision
             threshold on the fitted scores.
         random_state: Seed.
+
+    After ``fit(X)``, ``train_outliers_`` holds ``predict_outliers(X)``
+    (the same bits: it is computed from the same scores).
     """
 
     def __init__(
@@ -174,6 +180,7 @@ class IsolationForest(BaseEstimator):
         self._subsample_size: int = 0
         self._n_features: int = 0
         self.threshold_: float | None = None
+        self.train_outliers_: np.ndarray | None = None
 
     def fit(self, X: np.ndarray) -> "IsolationForest":
         X = np.asarray(X, dtype=np.float64)
@@ -193,6 +200,7 @@ class IsolationForest(BaseEstimator):
         self.threshold_ = float(
             np.quantile(scores, 1.0 - self.contamination, method="lower")
         )
+        self.train_outliers_ = scores > self.threshold_
         return self
 
     def score_samples(self, X: np.ndarray) -> np.ndarray:

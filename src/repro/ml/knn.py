@@ -2,15 +2,25 @@
 
 Exact euclidean kNN. Distances are computed in memory-bounded chunks
 so that large test sets do not materialise an n_test × n_train matrix
-at once. Each chunk's distances are built in place in the array of its
-product with the training matrix, bit-identical to the textbook
-``||t||^2 - 2 x.t`` form. The squared training norms are cached at fit
-time, and a ``score_grid`` fast path evaluates a whole ``n_neighbors``
-grid from one distance matrix per chunk: one ``argpartition`` up to
-``max(k) + 1``, one sort of the top block, then prefix votes per
-``k`` — with an exact replay of the naive selection, per chunk and
-``k``, for the rows where a distance tie at the ``k``-boundary could
-make the selected neighbour set ambiguous.
+at once. Neighbours of a test row ``x`` are selected on
+*half-distances* ``h - x.t``, with ``h = ||t||^2 / 2`` per training row
+``t`` cached at fit time: each chunk's product with the training matrix
+is formed once, and every 64-row block of it is turned into
+half-distances in place just before that block's ``argpartition``,
+while the block is still in cache. The textbook
+distance is ``d = fl(||t||^2 - 2 x.t)``; since scaling by a power of two
+commutes with rounding, ``fl(h - x.t) = d / 2`` exactly, barring
+overflow or a subnormal result. Halving is strictly monotone and keeps
+equal values equal, so every comparison, tie test and selected index
+equals the one made on ``d``. ``_chunk_distances`` keeps the textbook
+form as the reference the tests compare against.
+
+A ``score_grid`` fast path evaluates a whole ``n_neighbors`` grid from
+one half-distance block per chunk: one ``argpartition`` up to
+``max(k) + 1``, one sort of the top block, then prefix votes per ``k``
+— with an exact replay of the naive selection, per chunk and ``k``,
+for the rows where a distance tie at the ``k``-boundary could make the
+selected neighbour set ambiguous.
 
 The chunk size is part of the byte contract, not a free memory knob:
 BLAS may sum a row's product in a different order when the same row
@@ -26,13 +36,13 @@ block and its tie replay — runs over blocks of 64 distance rows and
 keeps only the selected columns, and a chunk's distance block is
 released before the next chunk's product is formed. The row block,
 unlike the chunk height, is not part of the byte contract: the
-distances are already computed, and ``argpartition`` along axis 1
-selects each row from that row alone, so a block of 64 rows selects
-exactly what one call over the whole chunk selects. At paper scale
-(10,500 training rows, 380-row chunks) this cut the ``tracemalloc``
-peak of ``predict_proba`` from 91.4 MiB (two distance blocks and a
-full-width index array) to 35.7 MiB, against 35.6 MiB for one
-distance block plus one selection block. On a 2-vCPU VM the
+products are already computed, and both the half-distance update and
+``argpartition`` along axis 1 treat each row on its own, so a block of
+64 rows selects exactly what one call over the whole chunk selects. At
+paper scale (10,500 training rows, 380-row chunks) row blocks cut the
+``tracemalloc`` peak of ``predict_proba`` from 91.4 MiB (two distance
+blocks and a full-width index array) to 35.7 MiB, against 35.6 MiB for
+one distance block plus one selection block. On a 2-vCPU VM the
 benchmark's ``peak_rss_mb`` fell from 102.95–103.14 to 81.14–81.42 on
 ``linear-slice`` and from 96.19–97.04 to 74.02–75.59 on ``linear-x2``.
 """
@@ -60,22 +70,34 @@ _SELECT_ROWS = 64
 
 
 def _nearest(
-    distances: np.ndarray, count: int, rows: np.ndarray | None = None
+    distances: np.ndarray,
+    count: int,
+    rows: np.ndarray | None = None,
+    half_sq: np.ndarray | None = None,
 ) -> np.ndarray:
     """``np.argpartition(distances[rows], count - 1, axis=1)[:, :count]``.
 
     ``rows`` defaults to every row. The selection runs over blocks of
     ``_SELECT_ROWS`` rows, each writing only its ``count`` selected
     columns, so no full-width index array is formed.
+
+    With ``half_sq`` (and every row), ``distances`` holds a chunk's
+    products ``chunk @ X.T``: each block is first turned into
+    half-distances ``half_sq - products`` in place, so on return the
+    whole array holds half-distances.
     """
+    assert rows is None or half_sq is None
     n_rows = distances.shape[0] if rows is None else rows.size
     nearest = np.empty((n_rows, count), dtype=np.intp)
     for start in range(0, n_rows, _SELECT_ROWS):
         stop = start + _SELECT_ROWS
-        block = slice(start, stop) if rows is None else rows[start:stop]
-        nearest[start:stop] = np.argpartition(
-            distances[block], count - 1, axis=1
-        )[:, :count]
+        if rows is None:
+            block = distances[start:stop]
+            if half_sq is not None:
+                np.subtract(half_sq, block, out=block)
+        else:
+            block = distances[rows[start:stop]]
+        nearest[start:stop] = np.argpartition(block, count - 1, axis=1)[:, :count]
     return nearest
 
 
@@ -94,6 +116,7 @@ class KNearestNeighborsClassifier(BaseClassifier):
         self._X: np.ndarray | None = None
         self._y: np.ndarray | None = None
         self._train_sq: np.ndarray | None = None
+        self._half_sq: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "KNearestNeighborsClassifier":
         X, y = self._check_fit_inputs(X, y)
@@ -102,6 +125,7 @@ class KNearestNeighborsClassifier(BaseClassifier):
         self._X = X
         self._y = y
         self._train_sq = np.sum(X**2, axis=1)
+        self._half_sq = 0.5 * self._train_sq
         return self
 
     def _check_test_matrix(self, X: np.ndarray) -> np.ndarray:
@@ -116,9 +140,10 @@ class KNearestNeighborsClassifier(BaseClassifier):
     def _chunk_distances(self, chunk: np.ndarray) -> np.ndarray:
         """Squared euclidean distance; constant ||x||^2 term omitted.
 
-        Built in the product's own array: scaling by -2 is exact and
-        ``a - b`` is ``(-b) + a`` in IEEE arithmetic, so the bits equal
-        ``train_sq - 2 * (chunk @ X.T)``.
+        The textbook reference for the half-distances the selection
+        runs on (twice these, bit for bit). Built in the product's own
+        array: scaling by -2 is exact and ``a - b`` is ``(-b) + a`` in
+        IEEE arithmetic, so the bits equal ``train_sq - 2 * (chunk @ X.T)``.
         """
         assert self._X is not None and self._train_sq is not None
         distances = chunk @ self._X.T
@@ -135,11 +160,10 @@ class KNearestNeighborsClassifier(BaseClassifier):
         chunk_rows = max(1, _CHUNK_TARGET_CELLS // max(1, n_train))
         positives = np.empty(X.shape[0], dtype=np.float64)
         for start in range(0, X.shape[0], chunk_rows):
-            chunk = X[start : start + chunk_rows]
-            distances = self._chunk_distances(chunk)
-            neighbor_idx = _nearest(distances, k)
+            products = X[start : start + chunk_rows] @ self._X.T
+            neighbor_idx = _nearest(products, k, half_sq=self._half_sq)
             # release this block before the next chunk's product is formed
-            del distances
+            del products
             positives[start : start + chunk_rows] = self._y[neighbor_idx].mean(axis=1)
         return np.column_stack([1.0 - positives, positives])
 
@@ -187,10 +211,12 @@ class KNearestNeighborsClassifier(BaseClassifier):
         positives = np.empty((len(ks), X.shape[0]), dtype=np.float64)
         for start in range(0, X.shape[0], chunk_rows):
             chunk = X[start : start + chunk_rows]
-            distances = self._chunk_distances(chunk)
+            # the chunk's products, half-distances once selected on
+            distances = chunk @ self._X.T
             if block < n_train:
-                block_idx = _nearest(distances, block)
+                block_idx = _nearest(distances, block, half_sq=self._half_sq)
             else:
+                np.subtract(self._half_sq, distances, out=distances)
                 block_idx = np.broadcast_to(
                     np.arange(n_train), (chunk.shape[0], n_train)
                 )

@@ -6,6 +6,7 @@ seeded from configuration coordinates rather than execution order.
 """
 
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -278,6 +279,32 @@ def test_parallel_matches_serial_missing_values(tmp_path):
     assert (tmp_path / "serial.json").read_bytes() == (
         tmp_path / "parallel.json"
     ).read_bytes()
+
+
+def test_clean_pool_run_checksums_each_new_record_once_in_the_parent(
+    tmp_path, monkeypatch
+):
+    """The parent checksums each new record once, as it encodes the
+    record's shard line. The save's journal replay finds every worker
+    line's key already merged and skips it before computing a checksum."""
+    parent = os.getpid()
+    checksummed = []
+    checksum = results_module.record_checksum
+
+    def counted(payload):
+        if os.getpid() == parent:
+            checksummed.append(payload["repetition"])
+        return checksum(payload)
+
+    monkeypatch.setattr(results_module, "record_checksum", counted)
+    store = ResultStore(tmp_path / "study.json")
+    added = run_parallel_study(
+        tiny_config(), store, workers=2, datasets=("german",),
+        error_types=("mislabels",),
+    )
+    assert added == 2
+    assert sorted(checksummed) == [0, 1]
+    assert list(tmp_path.glob("*.jsonl")) == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])

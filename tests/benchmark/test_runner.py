@@ -10,6 +10,7 @@ from repro.benchmark import (
     StudyConfig,
     run_parallel_study,
 )
+from tests.cleaning.test_detector_fit_apply import count_scored_rows
 
 
 def run_german(config, store, error_types, **kwargs):
@@ -151,6 +152,18 @@ def test_heart_skips_missing_values():
         error_types=("missing_values",),
     )
     assert added == 0
+
+
+def test_outliers_unit_scores_the_training_rows_once(monkeypatch):
+    """The isolation forest scores the training split once, in ``fit``,
+    whose flags ``apply(train)`` reuses; only the test split is scored
+    again: two ``score_samples`` calls per outliers unit, not three."""
+    calls = count_scored_rows(monkeypatch)
+    config = dataclasses.replace(StudyConfig.smoke_scale(), n_repetitions=1)
+    added = run_german(config, ResultStore(), ("outliers",), models=("log_reg",))
+    assert added == 9
+    assert len(calls) == 2
+    assert calls[0] > calls[1]  # the training split, then the test split
 
 
 def test_runner_is_deterministic():

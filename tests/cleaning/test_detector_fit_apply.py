@@ -13,6 +13,7 @@ from repro.cleaning import (
     IsolationForestOutlierDetector,
     SdOutlierDetector,
 )
+from repro.ml import IsolationForest
 from repro.tabular import Table
 
 
@@ -71,6 +72,63 @@ def test_isolation_forest_fit_apply_roundtrip():
     result = detector.apply(test)
     assert result.row_mask.shape == (100,)
     assert result.row_mask[0]  # the planted extreme point
+
+
+def count_scored_rows(monkeypatch):
+    """Rows per ``IsolationForest.score_samples`` call, in call order."""
+    calls = []
+    score = IsolationForest.score_samples
+
+    def counted(self, X):
+        calls.append(len(X))
+        return score(self, X)
+
+    monkeypatch.setattr(IsolationForest, "score_samples", counted)
+    return calls
+
+
+def test_isolation_forest_reuses_its_fit_scores_on_the_fitted_table(monkeypatch):
+    """``apply`` on the table the detector was fitted on takes its flags
+    from the fit's scores; a different table with equal contents is
+    scored, and both give the same bits. Missing values and a
+    categorical column keep incomplete rows out of the forest."""
+    rng = np.random.default_rng(4)
+    x = rng.normal(0, 1, 400)
+    x[[3, 50, 51]] = np.nan
+    y = rng.normal(0, 1, 400)
+    y[[7, 390]] = [9.0, -8.0]
+    train = Table.from_columns(
+        {"x": x, "y": y, "c": rng.choice(["a", "b"], size=400)}
+    )
+    twin = train.mask_rows(np.ones(train.n_rows, dtype=bool))
+    calls = count_scored_rows(monkeypatch)
+    detector = IsolationForestOutlierDetector(random_state=2).fit(train)
+    assert calls == [397]  # the fit's threshold scores, complete rows only
+    reused = detector.apply(train)
+    assert calls == [397]
+    scored = detector.apply(twin)
+    assert calls == [397, 397]
+    assert reused.n_flagged > 0
+    assert not reused.row_mask[[3, 50, 51]].any()
+    assert reused.row_mask.tobytes() == scored.row_mask.tobytes()
+    assert reused.cell_masks.keys() == scored.cell_masks.keys() == {"x", "y"}
+    for name, mask in reused.cell_masks.items():
+        assert mask.tobytes() == scored.cell_masks[name].tobytes()
+    # the returned masks are the caller's: changing one leaves the next intact
+    reused.row_mask[:] = True
+    assert detector.apply(train).row_mask.tobytes() == scored.row_mask.tobytes()
+
+
+def test_isolation_forest_refit_scores_the_previously_fitted_table(monkeypatch):
+    """A refit replaces the kept flags: the table of the earlier fit is
+    scored again, the newly fitted one is not."""
+    train, test = make_tables()
+    detector = IsolationForestOutlierDetector(random_state=1).fit(train)
+    calls = count_scored_rows(monkeypatch)
+    detector.fit(test)
+    detector.apply(test)
+    detector.apply(train)
+    assert calls == [100, 500]
 
 
 def test_isolation_forest_apply_skips_missing_rows():

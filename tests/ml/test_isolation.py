@@ -36,6 +36,13 @@ def test_predict_outliers_flags_the_planted_points():
     assert flagged[is_outlier].sum() == 5
 
 
+def test_fit_keeps_the_training_flags_predict_outliers_gives():
+    X, __ = make_data_with_outliers(seed=3)
+    forest = IsolationForest(random_state=3).fit(X)
+    assert forest.train_outliers_.any()
+    assert forest.train_outliers_.tobytes() == forest.predict_outliers(X).tobytes()
+
+
 def test_contamination_controls_flag_rate():
     X, __ = make_data_with_outliers()
     forest = IsolationForest(contamination=0.05, random_state=3).fit(X)

@@ -1,11 +1,13 @@
 """The kNN row-blocked neighbour selection against the one-call form.
 
-``predict_proba`` and ``score_grid`` select neighbours with
-``argpartition`` over blocks of 64 distance rows, keeping only the
-selected columns, and release each chunk's distances before the next
-chunk's product. The references below keep the selection they replaced:
-one ``argpartition`` over a whole chunk, whose full-width index array
-is sliced afterwards. Both must give the same bits, and the blocked
+``predict_proba`` and ``score_grid`` turn each block of 64 product rows
+into half-distances in place and select neighbours with
+``argpartition`` over that block, keeping only the selected columns,
+and release each chunk's distances before the next chunk's product.
+The references below keep the selection they replaced: one
+``argpartition`` over a whole chunk of textbook distances
+(``_chunk_distances``), whose full-width index array is sliced
+afterwards. Both must give the same bits, and the blocked
 form must stay within one chunk's distances plus one 64-row index
 block.
 """
@@ -97,11 +99,28 @@ def test_blocked_selection_matches_one_call_on_continuous_data(n_rows):
     assert_matches_reference(X, y, 2 * n_rows // 5, [1, 4, 5, 15, 31])
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_blocked_selection_matches_one_call_under_ties(seed):
+def make_one_hot_data(n, seed):
+    """One-hot blocks of three categorical columns, as the featurizer
+    encodes them: every row is one of 24 patterns, so its distances take
+    a few values and tie at almost every boundary."""
+    rng = np.random.default_rng(seed)
+    X = np.hstack(
+        [np.eye(levels)[rng.integers(0, levels, size=n)] for levels in (2, 3, 4)]
+    )
+    return X, rng.integers(0, 2, size=n)
+
+
+@pytest.mark.parametrize("seed", [*range(3), "one-hot-across-chunks"])
+def test_blocked_selection_matches_one_call_under_ties(seed, monkeypatch):
     """Three-level integer features: many boundary ties, so the tie
-    replay selects over tied rows spread across several row blocks."""
-    X, y = make_tied_data(n=230 + 70 * seed, d=2 + seed, seed=seed, levels=3)
+    replay selects over tied rows spread across several row blocks.
+    The one-hot case splits its tied rows across 90-row chunks, each
+    turned into half-distances block by block."""
+    if seed == "one-hot-across-chunks":
+        monkeypatch.setattr(knn_module, "_CHUNK_TARGET_CELLS", 90 * 100)
+        X, y = make_one_hot_data(n=100 + 3 * 90 + 37, seed=5)
+    else:
+        X, y = make_tied_data(n=230 + 70 * seed, d=2 + seed, seed=seed, levels=3)
     assert (X.shape[0] - 100) % 64
     assert_matches_reference(X, y, 100, [1, 2, 3, 5, 8, 13, 21])
 
