@@ -445,9 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="reuse computation across a repetition's cleaned versions "
-        "(reused one-hot blocks, shared booster presorts, memoised "
-        "tuned evaluations); results are byte-identical either way — "
-        "--no-incremental forces every cell to a cold refit",
+        "(a version whose categorical cells equal an earlier version's "
+        "reuses its one-hot block; booster presorts and tuned "
+        "evaluations are memoised); results are byte-identical either "
+        "way — --no-incremental forces every cell to a cold refit",
     )
     study.add_argument(
         "--trace",

@@ -43,14 +43,15 @@ class StudyConfig:
             hyperparameters and study records are byte-identical
             either way; ``False`` forces the naive loop.
         incremental: Reuse computation across the cleaned versions of
-            a repetition through :mod:`repro.ml.incremental`: row-delta
-            manifests pick each repaired version's cheapest parent,
-            featurisation reuses the parent's one-hot block whole when
-            no categorical cell changed, and booster presorts plus
-            whole tuned-model evaluations are shared when inputs
-            coincide byte for byte. Every reuse
-            path is byte-identical to the cold refit or declines and
-            falls back, so stores match a cold run bit for bit;
+            a repetition through :mod:`repro.ml.incremental`: each
+            repaired version reuses the one-hot block of the first
+            earlier version, dirty version first, whose train and test
+            tables are aligned with equal categorical cells, and
+            booster presorts, tuned hyperparameters and whole
+            tuned-model evaluations are shared when inputs coincide
+            byte for byte. Every reuse path is byte-identical to the
+            cold refit or declines and falls back, so stores match a
+            cold run bit for bit;
             ``False`` (the ``--no-incremental`` escape hatch) disables
             the scope entirely.
     """

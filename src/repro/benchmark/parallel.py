@@ -266,6 +266,12 @@ BACKENDS = ("process", "serial")
 #: Valid values of :attr:`ExecutorOptions.transport`.
 TRANSPORTS = ("auto", "shm", "pickle")
 
+#: Upper bound in seconds on any single retry delay.
+BACKOFF_CAP = 2.0
+
+#: Seed of the deterministic retry jitter (see :func:`backoff_delay`).
+BACKOFF_SEED = 0
+
 
 @dataclass(frozen=True)
 class ExecutorOptions:
@@ -303,11 +309,8 @@ class ExecutorOptions:
             it (durable against power loss, slower).
         backoff_base: First retry delay in seconds; each further
             attempt doubles it. ``0`` disables sleeping (used by the
-            chaos tests to stay fast).
-        backoff_cap: Upper bound on any single retry delay.
-        backoff_seed: Seed of the deterministic backoff jitter. The
-            jitter is a pure function of (seed, unit coordinates,
-            attempt) — no wall-clock randomness anywhere.
+            chaos tests to stay fast). Delays are capped at
+            :data:`BACKOFF_CAP`.
         fault_plan: Optional fault-injection plan (an object with a
             ``unit_injector(dataset, error_type, repetition, attempt,
             cell_timeout)`` method, see :class:`repro.testing.FaultPlan`).
@@ -330,8 +333,6 @@ class ExecutorOptions:
     cell_timeout: float | None = None
     fsync_journal: bool = False
     backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    backoff_seed: int = 0
     fault_plan: Any = None
     abort_after_units: int | None = None
     trace: bool = False
@@ -351,8 +352,8 @@ class ExecutorOptions:
             raise ValueError(
                 f"cell_timeout must be > 0, got {self.cell_timeout}"
             )
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ValueError("backoff_base and backoff_cap must be >= 0")
+        if self.backoff_base < 0:
+            raise ValueError(f"backoff_base must be >= 0, got {self.backoff_base}")
         if self.abort_after_units is not None and self.abort_after_units < 1:
             raise ValueError(
                 f"abort_after_units must be >= 1, got {self.abort_after_units}"
@@ -365,14 +366,15 @@ def backoff_delay(
     """Deterministic capped exponential backoff for a unit's retry.
 
     ``attempt`` counts from 1 (the first retry). The jitter factor in
-    ``[0.5, 1.5)`` is derived from a CRC-32 hash of the seed, the
-    unit's coordinates and the attempt number, so identical studies
+    ``[0.5, 1.5)`` is derived from a CRC-32 hash of
+    :data:`BACKOFF_SEED`, the unit's coordinates and the attempt
+    number — no wall-clock randomness anywhere — so identical studies
     back off identically.
     """
     if options.backoff_base <= 0:
         return 0.0
-    raw = min(options.backoff_cap, options.backoff_base * 2 ** (attempt - 1))
-    text = f"{options.backoff_seed}|{'|'.join(map(str, coords))}|{attempt}"
+    raw = min(BACKOFF_CAP, options.backoff_base * 2 ** (attempt - 1))
+    text = f"{BACKOFF_SEED}|{'|'.join(map(str, coords))}|{attempt}"
     fraction = zlib.crc32(text.encode("utf-8")) / 2**32
     return raw * (0.5 + fraction)
 

@@ -89,15 +89,15 @@ class _Version:
     ``features`` and ``masks`` cache the fitted featurisation and the
     group masks of the test table. Both depend only on the version's
     tables, so they are computed once and shared by every
-    model × tuning-seed cell of the repetition (previously the dirty
-    version alone was re-featurised ``len(models) × n_tuning_seeds``
-    times per repetition).
+    model × tuning-seed cell of the repetition.
 
     ``artifacts`` keeps the featurisation's block structure (the same
     matrices as ``features`` plus the fitted encoder/scaler and the
-    numeric/one-hot column split) so a child version can reuse it;
-    ``delta`` is the row-delta manifest against the selected parent
-    version, linked by :meth:`ExperimentRunner._link_deltas` when
+    numeric/one-hot column split) so a later version can reuse it;
+    ``parent`` is the first earlier version of the repetition whose
+    categorical cells equal this one's (see
+    :func:`repro.ml.incremental.version_delta`), linked by
+    :meth:`ExperimentRunner._link_parents` when
     :attr:`StudyConfig.incremental` is on.
     """
 
@@ -114,9 +114,7 @@ class _Version:
     artifacts: "incremental.FeatureArtifacts | None" = field(
         default=None, repr=False, compare=False
     )
-    delta: "incremental.VersionDelta | None" = field(
-        default=None, repr=False, compare=False
-    )
+    parent: "_Version | None" = field(default=None, repr=False, compare=False)
 
 
 class ExperimentRunner:
@@ -171,7 +169,7 @@ class ExperimentRunner:
                     definition, table, error_type, repetition
                 )
                 if versions is not None and self.config.incremental:
-                    self._link_deltas(versions[0], versions[1])
+                    self._link_parents(versions[0], versions[1])
             if versions is None:
                 return 0
             dirty, repaired_versions = versions
@@ -386,36 +384,21 @@ class ExperimentRunner:
         )
         return dirty, [repaired]
 
-    def _link_deltas(self, dirty: _Version, repaired: list[_Version]) -> None:
-        """Attach a row-delta manifest to each repaired version.
+    def _link_parents(self, dirty: _Version, repaired: list[_Version]) -> None:
+        """Link each repaired version to the first earlier version,
+        dirty version first, whose one-hot block it can reuse.
 
-        Parent candidates are the dirty version and every earlier
-        repaired version of the same repetition; the parent with the
-        cheapest delta (fewest changed cells, categorical train
-        changes penalised) wins. Versions with no aligned candidate —
-        e.g. every repair of a missing-values split, whose dirty
-        baseline dropped incomplete train tuples — keep ``delta=None``
-        and take the cold paths.
+        Versions with no such candidate — e.g. the first repair of a
+        missing-values split, whose dirty baseline dropped incomplete
+        train tuples — keep ``parent=None`` and featurise cold.
         """
-        candidates = [dirty]
-        for version in repaired:
-            best: incremental.VersionDelta | None = None
-            for parent in candidates:
-                delta = incremental.version_delta(
-                    parent.train,
-                    parent.train_labels,
-                    parent.test,
-                    version.train,
-                    version.train_labels,
-                    version.test,
-                    parent=parent,
-                )
-                if delta is None:
-                    continue
-                if best is None or delta.cost < best.cost:
-                    best = delta
-            version.delta = best
-            candidates.append(version)
+        for index, version in enumerate(repaired):
+            for candidate in [dirty, *repaired[:index]]:
+                if incremental.version_delta(
+                    candidate.train, candidate.test, version.train, version.test
+                ):
+                    version.parent = candidate
+                    break
 
     # -- model evaluation ---------------------------------------------------
 
@@ -429,18 +412,14 @@ class ExperimentRunner:
                 feature_columns = definition.feature_columns(version.train)
                 artifacts = None
                 scope = incremental.active()
-                delta = version.delta
+                parent = version.parent
                 if (
                     scope is not None
-                    and delta is not None
-                    and delta.parent.artifacts is not None
+                    and parent is not None
+                    and parent.artifacts is not None
                 ):
                     artifacts = incremental.incremental_featurize(
-                        feature_columns,
-                        delta.parent.artifacts,
-                        delta,
-                        version.train,
-                        version.test,
+                        feature_columns, parent.artifacts, version.train, version.test
                     )
                     scope.record("featurize", hit=artifacts is not None)
                 if artifacts is None:
@@ -463,37 +442,10 @@ class ExperimentRunner:
                 specs = list(definition.group_specs) + list(
                     definition.intersectional_specs
                 )
-                scope = incremental.active()
-                delta = version.delta
-                if (
-                    scope is not None
-                    and delta is not None
-                    and delta.parent.masks is not None
-                ):
-                    if incremental.masks_reusable(
-                        self._spec_columns(definition), delta.test
-                    ):
-                        # masks are a pure function of the sensitive test
-                        # columns, which the manifest shows unchanged
-                        scope.record("masks", hit=True)
-                        version.masks = delta.parent.masks
-                        return version.masks
-                    scope.record("masks", hit=False)
                 version.masks = group_masks(version.test, specs)
         else:
             obs.counter("cache_hit", cache="masks")
         return version.masks
-
-    @staticmethod
-    def _spec_columns(definition: DatasetDefinition) -> tuple[str, ...]:
-        """Test-table columns the group specs read."""
-        columns: list[str] = []
-        for spec in definition.group_specs:
-            columns.append(spec.privileged.attribute)
-        for spec in definition.intersectional_specs:
-            columns.append(spec.first.privileged.attribute)
-            columns.append(spec.second.privileged.attribute)
-        return tuple(dict.fromkeys(columns))
 
     def _score_version(
         self,

@@ -1,14 +1,15 @@
-"""Delta-aware computation reuse across cleaned dataset versions.
+"""Computation reuse across the cleaned versions of one repetition.
 
-The study's workload is dominated by near-duplicate training sets: a
-repaired version differs from its parent (the dirty version, or an
-earlier repair of the same split) in only the rows a cleaning strategy
-touched. This module lets the runner exploit that structure without
-ever changing a result byte:
+A repetition's versions (the dirty one and each repair) are
+near-duplicates: a repair touches few cells, and many repairs touch no
+categorical cell at all. This module lets the runner exploit that
+without ever changing a result byte:
 
-- :func:`table_delta` / :class:`VersionDelta` — the row-delta manifest:
-  which rows and columns of a child version's train/test tables (and
-  which train labels) differ from an aligned parent version.
+- :func:`version_delta` — the one question the runner asks of two
+  versions: are their train and test tables aligned, with equal
+  categorical cells? Each repaired version reuses the one-hot block of
+  the first earlier version of its repetition, dirty version first,
+  for which the answer is yes.
 - :class:`ReuseScope` — a content-addressed memo store for one work
   unit. Estimators consult the active scope (a thread-local set by
   ``runner.run_repetition_cells``) for cached pure-function results
@@ -18,21 +19,19 @@ ever changing a result byte:
   (:data:`RESULT_KINDS`) live in :func:`repetition_results`, shared by
   the sibling units of one ``(dataset, repetition)``.
 - :func:`featurize_version` / :func:`incremental_featurize` — cold and
-  reused featurisation. When no categorical cell changed, the
-  incremental path reuses the parent's one-hot block whole; otherwise
-  it declines and the version is featurised cold. The numeric block is
-  always recomputed (the scaler refit is vectorised and cheap, and any
+  reused featurisation. The incremental path takes the one-hot block
+  of a version that :func:`version_delta` matched and recomputes only
+  the numeric block (the scaler refit is vectorised and cheap, and any
   changed numeric cell shifts every standardised value in its column
   anyway).
 
-Identity discipline (the PR 3 contract): every reuse path either
-produces output byte-identical to the cold computation or declines and
-falls back. Content-addressed memo hits are identical by construction
-— equal input bytes into a deterministic function give equal output
-bytes. Incremental featurisation is identical by construction because
-it reuses a one-hot block only when no categorical cell changed, so
-the child's categorical columns, and hence its fitted categories, are
-the parent's.
+Identity discipline: every reuse path either produces output
+byte-identical to the cold computation or declines and falls back.
+Content-addressed memo hits are identical by construction — equal
+input bytes into a deterministic function give equal output bytes.
+Incremental featurisation is identical by construction because the
+one-hot block depends only on the categorical cells and the feature
+columns, which the check and the featuriser's column test pin equal.
 
 Nothing here activates outside a scope: ``active()`` returns ``None``
 unless the runner opened one, so standalone estimator use — and every
@@ -57,154 +56,60 @@ from repro.tabular import ColumnKind, Table, aligned_codes
 __all__ = [
     "RESULT_KINDS",
     "ReuseScope",
-    "TableDelta",
-    "VersionDelta",
     "FeatureArtifacts",
     "active",
     "drop_repetition_results",
     "repetition_results",
     "reuse_scope",
-    "table_delta",
     "version_delta",
     "featurize_version",
     "incremental_featurize",
-    "masks_reusable",
 ]
 
 
-# -- row-delta manifests -------------------------------------------------
+# -- the categorical check ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableDelta:
-    """Cell-level difference between two aligned tables.
+def _categorical_cells_equal(a: Table, b: Table) -> bool:
+    """True when ``a`` and ``b`` are aligned — equal row counts, column
+    names and column kinds — and every categorical cell is equal.
 
-    Attributes:
-        n_rows: Row count of both tables.
-        changed_rows: Sorted indices of rows with at least one changed
-            cell (in any column).
-        changed_columns: Names of columns with at least one changed
-            cell, in schema order.
-        changed_categorical: The categorical subset of
-            ``changed_columns`` (these gate one-hot block reuse).
+    Cells compare as dictionary codes over a common pool (zero-copy
+    when the pools already match, which they do along a version
+    lineage), so missing equals missing. Numeric columns are not
+    compared.
     """
-
-    n_rows: int
-    changed_rows: np.ndarray
-    changed_columns: tuple[str, ...]
-    changed_categorical: tuple[str, ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.changed_rows.size == 0
-
-
-def _column_changed(kind: ColumnKind, a, b) -> np.ndarray:
-    """Elementwise changed mask; NaN==NaN and missing==missing count as equal."""
-    if kind is ColumnKind.NUMERIC:
-        return (a != b) & ~(np.isnan(a) & np.isnan(b))
-    # dictionary-encoded columns: compare int32 codes over a common
-    # pool (zero-copy when the pools already match, which they do
-    # along a version lineage); -1 == -1 keeps missing unchanged
-    codes_a, codes_b = aligned_codes(a, b)
-    return codes_a != codes_b
-
-
-def table_delta(parent: Table, child: Table) -> TableDelta | None:
-    """Delta manifest of ``child`` relative to ``parent``.
-
-    Returns ``None`` when the tables are not aligned — different row
-    counts, column names or column kinds — in which case no row-level
-    reuse is meaningful (e.g. the missing-values dirty baseline, which
-    drops incomplete train tuples).
-    """
-    if parent.n_rows != child.n_rows:
-        return None
-    if parent.column_names != child.column_names:
-        return None
-    if any(
-        parent.kind_of(name) is not child.kind_of(name)
-        for name in child.column_names
-    ):
-        return None
-    changed = np.zeros(child.n_rows, dtype=bool)
-    columns: list[str] = []
-    categorical: list[str] = []
-    for name in child.column_names:
-        kind = child.kind_of(name)
-        if kind is ColumnKind.NUMERIC:
-            a = parent._column_view(name)
-            b = child._column_view(name)
-        else:
-            a = parent.categorical(name)
-            b = child.categorical(name)
-        if a is b:
+    if a.n_rows != b.n_rows or a.column_names != b.column_names:
+        return False
+    for name in a.column_names:
+        kind = a.kind_of(name)
+        if kind is not b.kind_of(name):
+            return False
+        if kind is not ColumnKind.CATEGORICAL:
             continue
-        diff = _column_changed(kind, a, b)
-        if diff.any():
-            changed |= diff
-            columns.append(name)
-            if kind is ColumnKind.CATEGORICAL:
-                categorical.append(name)
-    return TableDelta(
-        n_rows=child.n_rows,
-        changed_rows=np.nonzero(changed)[0],
-        changed_columns=tuple(columns),
-        changed_categorical=tuple(categorical),
-    )
-
-
-@dataclass(frozen=True)
-class VersionDelta:
-    """Row-delta manifest of one cleaned version against a parent.
-
-    ``parent`` is the runner's parent ``_Version`` object (held
-    opaquely to keep this module independent of the runner); ``train``
-    and ``test`` are its table deltas and ``label_rows`` the train
-    rows whose label changed (mislabel flips).
-    """
-
-    parent: Any
-    train: TableDelta
-    test: TableDelta
-    label_rows: np.ndarray
-
-    @property
-    def cost(self) -> int:
-        """Parent-selection heuristic: fewer changed cells is better.
-
-        Categorical train changes are weighted by the table size
-        because they rule out reusing the parent's one-hot block.
-        """
-        penalty = self.train.n_rows if self.train.changed_categorical else 0
-        return int(
-            self.train.changed_rows.size
-            + self.test.changed_rows.size
-            + self.label_rows.size
-            + penalty
-        )
+        column_a, column_b = a.categorical(name), b.categorical(name)
+        if column_a is column_b:
+            continue
+        codes_a, codes_b = aligned_codes(column_a, column_b)
+        if not np.array_equal(codes_a, codes_b):
+            return False
+    return True
 
 
 def version_delta(
-    parent_train: Table,
-    parent_train_labels: np.ndarray,
-    parent_test: Table,
-    child_train: Table,
-    child_train_labels: np.ndarray,
-    child_test: Table,
-    parent: Any = None,
-) -> VersionDelta | None:
-    """Build a :class:`VersionDelta`, or ``None`` if not aligned."""
-    if parent_train_labels.shape != child_train_labels.shape:
-        return None
-    train = table_delta(parent_train, child_train)
-    if train is None:
-        return None
-    test = table_delta(parent_test, child_test)
-    if test is None:
-        return None
-    label_rows = np.nonzero(parent_train_labels != child_train_labels)[0]
-    return VersionDelta(parent=parent, train=train, test=test, label_rows=label_rows)
+    parent_train: Table, parent_test: Table, child_train: Table, child_test: Table
+) -> bool:
+    """Whether a child version may reuse its parent's one-hot block.
+
+    True when the two versions' train tables, and their test tables,
+    are aligned with equal categorical cells: the one-hot block depends
+    only on those cells and the feature columns, so it is the same
+    bytes for both versions. False, for instance, against the
+    missing-values dirty baseline, which drops incomplete train tuples.
+    """
+    return _categorical_cells_equal(parent_train, child_train) and (
+        _categorical_cells_equal(parent_test, child_test)
+    )
 
 
 # -- the reuse scope ------------------------------------------------------
@@ -397,19 +302,19 @@ def _numeric_block(
 def incremental_featurize(
     feature_columns: tuple[str, ...] | None,
     parent: FeatureArtifacts,
-    delta: VersionDelta,
     train: Table,
     test: Table,
 ) -> FeatureArtifacts | None:
     """Featurise a child version by reusing its parent's one-hot block.
 
-    The numeric block is recomputed (vectorised, cheap, and its scaler
-    statistics shift whenever any numeric cell changes); the one-hot
-    block — the per-row Python loop that dominates featurisation — is
-    reused whole. Declines (``None``) when a categorical cell of the
-    train or test table changed, when there is nothing categorical to
-    reuse, or when the parent was fitted over different feature
-    columns; the caller then featurises cold.
+    The caller has checked :func:`version_delta` between the parent's
+    tables and ``train``/``test``. The numeric block is recomputed
+    (vectorised, cheap, and its scaler statistics shift whenever any
+    numeric cell changes); the one-hot block — the per-row Python loop
+    that dominates featurisation — is reused whole. Declines (``None``)
+    when there is nothing categorical to reuse, when a numeric cell is
+    NaN, or when the parent was fitted over different feature columns;
+    the caller then featurises cold.
     """
     parent_featurizer = parent.featurizer
     if tuple(feature_columns or ()) != tuple(parent_featurizer.feature_columns or ()):
@@ -418,8 +323,6 @@ def incremental_featurize(
     categorical_names = parent_featurizer._categorical_names
     if not categorical_names:
         # numeric-only featurisation has no expensive part to reuse
-        return None
-    if delta.train.changed_categorical or delta.test.changed_categorical:
         return None
     encoder = parent_featurizer._encoder
     assert encoder is not None
@@ -455,16 +358,3 @@ def incremental_featurize(
         X_test=X_test,
         numeric_width=len(numeric_names),
     )
-
-
-def masks_reusable(
-    spec_attributes: Sequence[str], test_delta: TableDelta
-) -> bool:
-    """True when no changed test column is referenced by a group spec.
-
-    Group masks are a pure function of the test table's sensitive
-    columns; if the delta manifest shows those columns untouched, the
-    parent's masks are the child's masks.
-    """
-    changed = set(test_delta.changed_columns)
-    return not any(attribute in changed for attribute in spec_attributes)

@@ -109,8 +109,8 @@ class RunHealth:
         tuning: Grid-search totals: fit/score seconds and the
             fast-path vs naive dispatch counts.
         cache: Per cache name: ``{"hits", "misses", "hit_rate"}``.
-        reuse: Per incremental-reuse kind (``featurize``, ``masks``,
-            ``tree_presort``, ``model_eval``):
+        reuse: Per incremental-reuse kind (``featurize``,
+            ``tree_presort``, ``model_tune``, ``model_eval``):
             ``{"hits", "misses", "hit_rate"}``.
         cells_warm_started: Cells in which at least one incremental
             reuse hit fired (also available as the ``warm_started``

@@ -1,12 +1,12 @@
-"""Hypothesis strategies for fault plans and parent→child row deltas.
+"""Hypothesis strategies for fault plans and parent→child table edits.
 
 The fault strategies drive the randomized chaos sweeps (``pytest -m
 slow``); the delta strategies drive the incremental-reuse identity
 properties (``tests/identity``), generating aligned parent/child table
-pairs whose differences model the study's cleaning operations — label
-flips, imputations of missing cells, outlier clamps — together with
-the ground-truth set of edited cells, so each reuse path can be
-property-tested in isolation against its cold counterpart. All
+pairs whose differences model the study's cleaning operations —
+category flips, imputations of missing cells, outlier clamps —
+together with the ground-truth set of edited cells, so each reuse path
+can be property-tested in isolation against its cold counterpart. All
 strategies produce plain values, so shrinking yields minimal failing
 schedules/deltas.
 """
@@ -80,7 +80,7 @@ def fault_plans(
     ).map(lambda fs: FaultPlan(faults=tuple(fs)))
 
 
-# -- parent -> child row deltas -------------------------------------------
+# -- parent -> child table edits -----------------------------------------
 
 #: Categories drawn for generated categorical columns.
 DELTA_CATEGORIES: tuple[str, ...] = ("alpha", "beta", "gamma", "delta")
@@ -113,28 +113,13 @@ class DeltaCase:
     child: Table
     changed_cells: tuple[tuple[int, str], ...]
 
-    @property
-    def changed_rows(self) -> tuple[int, ...]:
-        return tuple(sorted({row for row, _ in self.changed_cells}))
-
-    @property
-    def changed_columns(self) -> tuple[str, ...]:
-        names = {name for _, name in self.changed_cells}
-        return tuple(name for name in self.parent.column_names if name in names)
-
 
 @dataclass(frozen=True)
 class VersionCase:
-    """A train/test/label triple of parent->child pairs on one schema."""
+    """Train and test parent->child pairs on one schema."""
 
     train: DeltaCase
     test: DeltaCase
-    parent_labels: np.ndarray
-    child_labels: np.ndarray
-
-    @property
-    def label_rows(self) -> tuple[int, ...]:
-        return tuple(np.nonzero(self.parent_labels != self.child_labels)[0])
 
 
 def _cell_changed(kind: str, a: object, b: object) -> bool:
@@ -239,30 +224,13 @@ def _draw_pair(
 
 
 @st.composite
-def delta_cases(
-    draw,
-    min_rows: int = 6,
-    max_rows: int = 24,
-    allow_missing: bool = True,
-    edit_kinds: Sequence[str] = DELTA_EDIT_KINDS,
-    max_edits: int = 8,
-) -> DeltaCase:
-    """An aligned parent->child table pair with known changed cells."""
-    schema = _draw_schema(draw)
-    return _draw_pair(
-        draw, schema, min_rows, max_rows, allow_missing, edit_kinds, max_edits
-    )
-
-
-@st.composite
 def version_cases(
     draw,
     allow_missing: bool = False,
     edit_kinds: Sequence[str] = ("flip", "clamp"),
     max_edits: int = 6,
-    max_label_flips: int = 3,
 ) -> VersionCase:
-    """Train/test parent->child pairs sharing a schema, plus labels.
+    """Train/test parent->child pairs sharing a schema.
 
     Defaults generate NaN-free numeric columns so both versions
     featurise on the cold path too (the featuriser raises on NaN).
@@ -270,26 +238,4 @@ def version_cases(
     schema = _draw_schema(draw)
     train = _draw_pair(draw, schema, 8, 24, allow_missing, edit_kinds, max_edits)
     test = _draw_pair(draw, schema, 4, 12, allow_missing, edit_kinds, max_edits)
-    n_rows = train.parent.n_rows
-    labels = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=1), min_size=n_rows, max_size=n_rows
-        )
-    )
-    parent_labels = np.array(labels, dtype=np.int64)
-    child_labels = parent_labels.copy()
-    flips = draw(
-        st.lists(
-            st.integers(min_value=0, max_value=n_rows - 1),
-            max_size=max_label_flips,
-            unique=True,
-        )
-    )
-    for row in flips:
-        child_labels[row] = 1 - child_labels[row]
-    return VersionCase(
-        train=train,
-        test=test,
-        parent_labels=parent_labels,
-        child_labels=child_labels,
-    )
+    return VersionCase(train=train, test=test)

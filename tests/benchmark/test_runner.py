@@ -10,6 +10,7 @@ from repro.benchmark import (
     StudyConfig,
     run_parallel_study,
 )
+from repro.ml import incremental
 from tests.cleaning.test_detector_fit_apply import count_scored_rows
 
 
@@ -164,6 +165,52 @@ def test_outliers_unit_scores_the_training_rows_once(monkeypatch):
     assert added == 9
     assert len(calls) == 2
     assert calls[0] > calls[1]  # the training split, then the test split
+
+
+def _count_reuse(monkeypatch):
+    """Record every ``version_delta`` call and every unit's reuse scope."""
+    calls, scopes = [], []
+    check = incremental.version_delta
+    init = incremental.ReuseScope.__init__
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    def recorded(scope, *args, **kwargs):
+        init(scope, *args, **kwargs)
+        scopes.append(scope)
+
+    monkeypatch.setattr(incremental, "version_delta", counted)
+    monkeypatch.setattr(incremental.ReuseScope, "__init__", recorded)
+    return calls, scopes
+
+
+def test_outliers_unit_checks_each_repair_once(monkeypatch):
+    """No outlier repair touches a categorical cell, so each of the nine
+    repaired versions matches the dirty version at its first check:
+    nine ``version_delta`` calls, not one per pair of versions (45)."""
+    calls, _ = _count_reuse(monkeypatch)
+    config = dataclasses.replace(StudyConfig.smoke_scale(), n_repetitions=1)
+    run_german(config, ResultStore(), ("outliers",), models=("log_reg",))
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize(
+    ("error_type", "hits"),
+    [("missing_values", 4), ("outliers", 9), ("mislabels", 1)],
+)
+def test_one_hot_reuse_per_unit(monkeypatch, error_type, hits):
+    """Every repaired version with a categorical match reuses a one-hot
+    block, as many as under a search over every earlier version. A
+    version with no match is featurised cold without a recorded miss
+    (the first missing-values repair, and one other there)."""
+    _, scopes = _count_reuse(monkeypatch)
+    config = dataclasses.replace(StudyConfig.smoke_scale(), n_repetitions=1)
+    run_german(config, ResultStore(), (error_type,), models=("log_reg",))
+    assert [scope.counts()["featurize"] for scope in scopes] == [
+        {"hits": hits, "misses": 0}
+    ]
 
 
 def test_runner_is_deterministic():

@@ -7,7 +7,7 @@ import pytest
 from repro.benchmark import CellTimeoutError, ExecutorOptions, backoff_delay
 from repro.benchmark.parallel import _cell_deadline, _replan_unit, WorkUnit
 from repro.benchmark import ResultStore, RunRecord, StudyConfig
-from repro.benchmark.parallel import expected_cell_keys
+from repro.benchmark.parallel import BACKOFF_CAP, expected_cell_keys
 
 pytestmark = pytest.mark.chaos
 
@@ -41,7 +41,7 @@ def test_options_reject_negative_backoff():
 
 
 def test_backoff_is_deterministic_and_capped():
-    options = ExecutorOptions(backoff_base=0.1, backoff_cap=0.4, backoff_seed=7)
+    options = ExecutorOptions(backoff_base=0.1)
     coords = ("german", "mislabels", 0)
     delays = [backoff_delay(options, coords, attempt) for attempt in (1, 2, 3, 9)]
     assert delays == [
@@ -49,8 +49,9 @@ def test_backoff_is_deterministic_and_capped():
     ]
     # jitter keeps every delay within [0.5, 1.5) of the raw schedule
     for attempt, delay in zip((1, 2, 3, 9), delays):
-        raw = min(0.4, 0.1 * 2 ** (attempt - 1))
+        raw = min(BACKOFF_CAP, 0.1 * 2 ** (attempt - 1))
         assert raw * 0.5 <= delay < raw * 1.5
+    assert 0.1 * 2**8 > BACKOFF_CAP  # attempt 9 runs into the cap
     # distinct units get distinct jitter
     other = backoff_delay(options, ("german", "mislabels", 1), 1)
     assert other != delays[0]

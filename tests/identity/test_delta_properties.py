@@ -1,16 +1,15 @@
 """Property tests of each incremental reuse path in isolation.
 
-Hypothesis generates random parent->child row deltas — label flips,
-imputations, outlier clamps — and each property pins one reuse path
-to its cold counterpart: the delta manifest against a scalar oracle,
-reused featurisation against a cold featurise, booster presort
+Hypothesis generates random parent->child table edits — category
+flips, imputations, outlier clamps — and each property pins one reuse
+path to its cold counterpart: the categorical check against a scalar
+oracle, reused featurisation against a cold featurise, booster presort
 sharing against the unscoped fit, and kNN and logistic fits (which
 consult no scope) against the same fits outside one, byte for byte.
 Settings are derandomized so tier-1 runs are reproducible.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,65 +21,40 @@ from repro.ml import (
 )
 from repro.ml.tree import presort_orders
 from repro.tabular import Table
-from repro.testing.strategies import DELTA_EDIT_KINDS, delta_cases, version_cases
+from repro.testing.strategies import DELTA_EDIT_KINDS, version_cases
 
 SETTINGS = settings(max_examples=50, deadline=None, derandomize=True)
 
 
-# -- delta manifests ------------------------------------------------------
-
-
-@SETTINGS
-@given(case=delta_cases())
-def test_table_delta_matches_scalar_oracle(case):
-    delta = incremental.table_delta(case.parent, case.child)
-    assert delta is not None
-    assert delta.n_rows == case.parent.n_rows
-    assert tuple(delta.changed_rows) == case.changed_rows
-    assert delta.changed_columns == case.changed_columns
-    assert delta.changed_categorical == tuple(
-        name for name in case.changed_columns if name.startswith("cat_")
-    )
-    assert delta.is_empty == (not case.changed_cells)
-
-
-@SETTINGS
-@given(case=delta_cases(edit_kinds=("impute",)))
-def test_imputation_deltas_touch_only_missing_cells(case):
-    """Imputation edits change exactly the parent's missing cells."""
-    for row, name in case.changed_cells:
-        value = case.parent.column(name)[row]
-        if name.startswith("num_"):
-            assert np.isnan(value)
-        else:
-            assert value is None
-
-
-def test_table_delta_declines_on_misaligned_tables():
-    parent = Table.from_columns({"x": [1.0, 2.0], "c": ["a", "b"]})
-    fewer_rows = Table.from_columns({"x": [1.0], "c": ["a"]})
-    renamed = Table.from_columns({"y": [1.0, 2.0], "c": ["a", "b"]})
-    kind_change = Table.from_columns({"x": ["1", "2"], "c": ["a", "b"]})
-    assert incremental.table_delta(parent, fewer_rows) is None
-    assert incremental.table_delta(parent, renamed) is None
-    assert incremental.table_delta(parent, kind_change) is None
+# -- the categorical check ------------------------------------------------
 
 
 @SETTINGS
 @given(case=version_cases(edit_kinds=DELTA_EDIT_KINDS, allow_missing=True))
-def test_version_delta_reports_label_flips(case):
-    delta = incremental.version_delta(
-        case.train.parent,
-        case.parent_labels,
-        case.test.parent,
-        case.train.child,
-        case.child_labels,
-        case.test.child,
+def test_version_delta_matches_categorical_oracle(case):
+    """True exactly when no categorical cell of train or test changed
+    (missing equals missing); numeric edits never matter."""
+    categorical_changed = any(
+        name.startswith("cat_")
+        for pair in (case.train, case.test)
+        for _, name in pair.changed_cells
     )
-    assert delta is not None
-    assert tuple(delta.label_rows) == case.label_rows
-    assert tuple(delta.train.changed_rows) == case.train.changed_rows
-    assert tuple(delta.test.changed_rows) == case.test.changed_rows
+    assert incremental.version_delta(
+        case.train.parent, case.test.parent, case.train.child, case.test.child
+    ) == (not categorical_changed)
+
+
+def test_table_delta_declines_on_misaligned_tables():
+    """Tables that differ in row count, column names or column kinds
+    are never aligned, whichever side is the train or the test table."""
+    parent = Table.from_columns({"x": [1.0, 2.0], "c": ["a", "b"]})
+    fewer_rows = Table.from_columns({"x": [1.0], "c": ["a"]})
+    renamed = Table.from_columns({"y": [1.0, 2.0], "c": ["a", "b"]})
+    kind_change = Table.from_columns({"x": ["1", "2"], "c": ["a", "b"]})
+    assert incremental.version_delta(parent, parent, parent, parent)
+    for other in (fewer_rows, renamed, kind_change):
+        assert not incremental.version_delta(parent, parent, other, parent)
+        assert not incremental.version_delta(parent, parent, parent, other)
 
 
 # -- incremental featurisation -------------------------------------------
@@ -90,17 +64,12 @@ def test_version_delta_reports_label_flips(case):
 @given(case=version_cases())
 def test_incremental_featurize_is_byte_identical_or_declines(case):
     parent = incremental.featurize_version(None, case.train.parent, case.test.parent)
-    delta = incremental.version_delta(
-        case.train.parent,
-        case.parent_labels,
-        case.test.parent,
-        case.train.child,
-        case.child_labels,
-        case.test.child,
-    )
-    assert delta is not None
+    if not incremental.version_delta(
+        case.train.parent, case.test.parent, case.train.child, case.test.child
+    ):
+        return  # the runner reuses no block across a categorical change
     patched = incremental.incremental_featurize(
-        None, parent, delta, case.train.child, case.test.child
+        None, parent, case.train.child, case.test.child
     )
     if patched is None:
         return  # declined; the runner falls back to the cold path
@@ -114,33 +83,7 @@ def test_incremental_featurize_declines_on_new_category():
     parent_train = Table.from_columns({"x": [0.0, 1.0], "c": ["a", "b"]})
     child_train = Table.from_columns({"x": [0.0, 1.0], "c": ["a", "zzz"]})
     test = Table.from_columns({"x": [0.5], "c": ["a"]})
-    labels = np.zeros(2, dtype=np.int64)
-    parent = incremental.featurize_version(None, parent_train, test)
-    delta = incremental.version_delta(
-        parent_train, labels, test, child_train, labels, test
-    )
-    assert (
-        incremental.incremental_featurize(None, parent, delta, child_train, test)
-        is None
-    )
-
-
-@SETTINGS
-@given(case=version_cases(edit_kinds=("flip",)))
-def test_masks_reusable_tracks_changed_test_columns(case):
-    delta = incremental.version_delta(
-        case.train.parent,
-        case.parent_labels,
-        case.test.parent,
-        case.train.child,
-        case.child_labels,
-        case.test.child,
-    )
-    assert delta is not None
-    changed = set(case.test.changed_columns)
-    for name in case.test.parent.column_names:
-        assert incremental.masks_reusable([name], delta.test) == (name not in changed)
-    assert incremental.masks_reusable([], delta.test)
+    assert not incremental.version_delta(parent_train, test, child_train, test)
 
 
 # -- the reuse scope ------------------------------------------------------
